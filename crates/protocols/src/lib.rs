@@ -15,9 +15,9 @@
 //! Every protocol is verified by simulating adversarial workloads and
 //! monitoring the corresponding forbidden predicate *online* while the
 //! run executes ([`verify`]) — safety *and* liveness, per the paper's
-//! definition of "implements". [`verify_online`] halts at the first
-//! violating delivery; [`OnlineMonitor`] plugs the same detector into
-//! exhaustive schedule exploration.
+//! definition of "implements". [`OnlineMonitor::halting`] stops a
+//! streaming run at the first violating delivery; [`OnlineMonitor`]
+//! plugs the same detector into exhaustive schedule exploration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +46,5 @@ pub use reliable::{ControlEvent, ReliableLink, RetryConfig};
 pub use sync::SyncProtocol;
 pub use synthesis::SynthesizedTagged;
 pub use verify::{
-    run_and_verify, verify_exhaustive, verify_online, ExhaustiveOutcome, OnlineMonitor,
-    VerifyOutcome,
+    run_and_verify, verify_exhaustive, ExhaustiveOutcome, OnlineMonitor, VerifyOutcome,
 };

@@ -18,67 +18,75 @@
 //! assert_eq!(msgorder_testkit::allocations() - before, 0);
 //! ```
 //!
-//! Counts are global and monotone. Tests in one binary share them, so
-//! measure deltas, not absolutes, and keep guarded sections free of
-//! other threads.
+//! Counts are per thread and monotone: each reading covers only the
+//! heap operations of the calling thread, so tests running on parallel
+//! harness threads never see each other's allocations. Measure deltas,
+//! not absolutes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+// `const`-initialized and drop-free, so reading or bumping a counter
+// never allocates and works at any point of a thread's life.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
+    counter.with(|c| c.set(c.get() + by));
+}
 
 /// A [`System`]-backed allocator that counts every heap operation.
 ///
 /// Install it with `#[global_allocator]` in a test binary and read the
-/// counters through [`allocations`] / [`deallocations`] /
-/// [`allocated_bytes`]. A reallocation that grows a buffer counts as
+/// calling thread's counters through [`allocations`] / [`deallocations`]
+/// / [`allocated_bytes`]. A reallocation that grows a buffer counts as
 /// one allocation (matching the number of calls into the allocator, the
 /// quantity the zero-alloc guards bound).
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation unchanged to `System`; the counter
-// updates are lock-free atomics, safe inside the allocator.
+// updates touch only allocation-free thread-local cells, safe inside
+// the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        bump(&ALLOCATIONS, 1);
+        bump(&ALLOCATED_BYTES, layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump(&DEALLOCATIONS, 1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        bump(&ALLOCATIONS, 1);
+        bump(&ALLOCATED_BYTES, new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Total allocator calls that produced (or grew) a block so far.
+/// Allocator calls that produced (or grew) a block on this thread so
+/// far.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Total blocks returned to the allocator so far.
+/// Blocks this thread returned to the allocator so far.
 pub fn deallocations() -> u64 {
-    DEALLOCATIONS.load(Ordering::Relaxed)
+    DEALLOCATIONS.with(Cell::get)
 }
 
-/// Total bytes requested so far (grows monotonically; frees do not
-/// subtract).
+/// Bytes this thread requested so far (grows monotonically; frees do
+/// not subtract).
 pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
+    ALLOCATED_BYTES.with(Cell::get)
 }
 
-/// Runs `f` and returns `(result, allocations during f)`.
-///
-/// Single-threaded sections only: the counters are process-global, so
-/// concurrent allocations elsewhere would be attributed to `f`.
+/// Runs `f` and returns `(result, allocations f made on this thread)`.
 pub fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = allocations();
     let out = f();

@@ -10,7 +10,7 @@
 //! retained, so hours of episodes hold the same memory as one. When a
 //! spec is configured, an [`OnlineMonitor`] rides along and a
 //! violating episode is counted (and ends at the detection, exactly as
-//! `verify_online` would). Every episode's liveness verdict feeds the
+//! a halting `msgorder simulate --online` run does). Every episode's liveness verdict feeds the
 //! per-blame-class stuck counters — the "periodic online liveness
 //! sampling" the ROADMAP asks the soak to prove.
 //!

@@ -16,14 +16,17 @@ use msgorder::core::Spec;
 use msgorder::predicate::{catalog, eval, ForbiddenPredicate};
 use msgorder::protocols::OnlineMonitor;
 use msgorder::protocols::ProtocolKind;
-use msgorder::runs::limit_sets;
+use msgorder::runs::display::render_timeline;
+use msgorder::runs::{limit_sets, UserRunSnapshot};
 use msgorder::simnet::{
-    CrashSchedule, FaultModel, LatencyModel, Partition, RunObserver, SimConfig, Simulation,
+    CrashSchedule, FaultModel, LatencyModel, Partition, RunObserver, Simulation, StreamResult,
     Workload,
 };
 use msgorder::trace::metrics::MetricsObserver;
-use msgorder::trace::{record_with_extra, Fanout, Setup, Trace};
+use msgorder::trace::{assemble_trace, parse_spec, Fanout, Recorder, Setup, Trace};
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,6 +90,10 @@ USAGE:
       --online        monitor --spec online and halt at the first violating delivery
       --record PATH   write the run as a replayable JSONL trace
       --metrics       print the run's metrics report (latency histograms, wire counters)
+    report: cost counters; the fault block when a fault flag is set or frames were
+    retransmitted; the adversarial block when a wire attack landed; in X_co, in X_sync
+    and the spec verdict, or, when --online halted the run, the violation and where it
+    was detected; the trace line, metrics and time diagram when their flags are given
   msgorder explore [options]               exhaustively explore every schedule of a
                                            seeded workload (model checking)
       --protocol  async|fifo|causal-rst|causal-ses|sync|sync-batched   (default async)
@@ -185,10 +192,7 @@ fn predicate_arg(args: &[String]) -> Result<ForbiddenPredicate, String> {
         .first()
         .ok_or_else(|| "expected a predicate argument".to_owned())?;
     // Convenience: accept catalog names too.
-    if let Some(entry) = catalog::by_name(src) {
-        return Ok(entry.predicate);
-    }
-    ForbiddenPredicate::parse(src).map_err(|e| e.to_string())
+    parse_spec(src).map_err(|e| e.to_string())
 }
 
 fn cmd_classify(args: &[String]) -> Result<(), String> {
@@ -274,12 +278,12 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_probability(flag: &str, s: &str) -> Result<f64, String> {
-    let p: f64 = s.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("{flag}: probability {p} not in [0, 1]"));
-    }
-    Ok(p)
+/// Parses `s`, naming `what` in the error.
+fn parse_num<T: FromStr>(what: &str, s: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    s.parse().map_err(|e| format!("{what}: {e}"))
 }
 
 /// `A:B:FROM:UNTIL` — sever the A<->B link for `FROM <= t < UNTIL`.
@@ -289,14 +293,10 @@ fn parse_partition(s: &str) -> Result<Partition, String> {
         return Err(format!("--partition: expected A:B:FROM:UNTIL, got `{s}`"));
     };
     Ok(Partition {
-        a: a.parse()
-            .map_err(|e| format!("--partition endpoint: {e}"))?,
-        b: b.parse()
-            .map_err(|e| format!("--partition endpoint: {e}"))?,
-        from: from.parse().map_err(|e| format!("--partition from: {e}"))?,
-        until: until
-            .parse()
-            .map_err(|e| format!("--partition until: {e}"))?,
+        a: parse_num("--partition endpoint", a)?,
+        b: parse_num("--partition endpoint", b)?,
+        from: parse_num("--partition from", from)?,
+        until: parse_num("--partition until", until)?,
     })
 }
 
@@ -309,376 +309,342 @@ fn parse_crash(s: &str) -> Result<CrashSchedule, String> {
         _ => return Err(format!("--crash: expected P:AT[:RESTART], got `{s}`")),
     };
     Ok(CrashSchedule {
-        process: process
-            .parse()
-            .map_err(|e| format!("--crash process: {e}"))?,
-        at: at.parse().map_err(|e| format!("--crash at: {e}"))?,
+        process: parse_num("--crash process", process)?,
+        at: parse_num("--crash at", at)?,
         restart: restart
-            .map(|r| r.parse().map_err(|e| format!("--crash restart: {e}")))
+            .map(|r| parse_num("--crash restart", r))
             .transpose()?,
     })
 }
 
-/// Rejects structurally nonsensical fault schedules up front, instead
-/// of letting them silently do nothing (out-of-range endpoints never
-/// match a link) or panic deep in the kernel. Delegates to the model's
-/// own [`FaultModel::validate_for`] so the CLI and the library agree on
-/// what is well-formed.
-fn validate_faults(
-    processes: usize,
-    partitions: &[Partition],
-    crashes: &[CrashSchedule],
-) -> Result<(), String> {
-    let model = FaultModel {
-        partitions: partitions.to_vec(),
-        crashes: crashes.to_vec(),
-        ..FaultModel::none()
-    };
-    model.validate_for(processes).map_err(|e| e.to_string())
+/// Reads a subcommand's arguments one flag at a time. Every subcommand
+/// goes through it, so a missing value, an unparsable value and an
+/// unknown flag are reported the same way everywhere.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let mut protocol = "causal-rst".to_owned();
-    let mut spec: Option<String> = None;
-    let mut processes = 4usize;
-    let mut messages = 30usize;
-    let mut seed = 1u64;
-    let mut timeline = false;
-    let mut drop = 0.0f64;
-    let mut dup = 0.0f64;
-    let mut corrupt = 0.0f64;
-    let mut forge = 0.0f64;
-    let mut replay_stale = 0.0f64;
-    let mut reorder = 0.0f64;
-    let mut partitions: Vec<Partition> = Vec::new();
-    let mut crashes: Vec<CrashSchedule> = Vec::new();
-    let mut reliable = false;
-    let mut online = false;
-    let mut record_path: Option<String> = None;
-    let mut metrics = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next argument; later calls read the value of this flag.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("flag {} needs a value", self.flag))
+    }
+
+    /// The current flag's value, parsed.
+    fn parse<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        parse_num(self.flag, &self.value()?)
+    }
+
+    /// The error for a flag no reader claimed.
+    fn unknown(&self) -> String {
+        format!("unknown flag `{}`", self.flag)
+    }
+}
+
+/// The flags that describe a run, shared by `simulate`, `explore`,
+/// `serve` and `soak`. Each subcommand sets its own defaults and lists
+/// the run flags it accepts; [`RunArgs::resolve`] validates them all in
+/// one place.
+struct RunArgs {
+    /// The run flags this subcommand accepts, space-separated; the
+    /// others stay unknown.
+    accepts: &'static str,
+    protocol: String,
+    spec: Option<String>,
+    processes: usize,
+    messages: usize,
+    seed: u64,
+    reliable: bool,
+    /// Filled in flag by flag; checked only by `resolve`.
+    faults: FaultModel,
+    step_limit: usize,
+}
+
+impl RunArgs {
+    /// The shared defaults, accepting the run flags in `accepts`.
+    fn new(accepts: &'static str) -> Self {
+        RunArgs {
+            accepts,
+            protocol: "causal-rst".to_owned(),
+            spec: None,
+            processes: 4,
+            messages: 30,
+            seed: 1,
+            reliable: false,
+            faults: FaultModel::none(),
+            step_limit: 1_000_000,
+        }
+    }
+
+    /// Reads `flag` if it is a run flag this subcommand accepts;
+    /// `Ok(false)` leaves it to the subcommand.
+    fn read(&mut self, flag: &str, f: &mut Flags) -> Result<bool, String> {
+        if !self.accepts.split_whitespace().any(|a| a == flag) {
+            return Ok(false);
+        }
+        let faults = &mut self.faults;
+        match flag {
+            "--protocol" => self.protocol = f.value()?,
+            "--spec" => self.spec = Some(f.value()?),
+            "--processes" => self.processes = f.parse()?,
+            "--messages" => self.messages = f.parse()?,
+            "--seed" => self.seed = f.parse()?,
+            "--reliable" => self.reliable = true,
+            "--drop" => faults.drop = f.parse()?,
+            "--dup" => faults.duplicate = f.parse()?,
+            "--corrupt" => faults.adversarial.corrupt = f.parse()?,
+            "--forge" => faults.adversarial.forge = f.parse()?,
+            "--replay-stale" => faults.adversarial.replay_stale = f.parse()?,
+            "--reorder" => faults.adversarial.reorder = f.parse()?,
+            "--partition" => faults.partitions.push(parse_partition(&f.value()?)?),
+            "--crash" => faults.crashes.push(parse_crash(&f.value()?)?),
+            "--step-limit" => self.step_limit = f.parse()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Validates the run and resolves its protocol and spec. Nonsensical
+    /// fault schedules are rejected up front instead of silently doing
+    /// nothing or panicking deep in the kernel, by the model's own
+    /// [`FaultModel::validate_for`], so the CLI and the library agree
+    /// on what is well-formed.
+    fn resolve(&self) -> Result<(ProtocolKind, Option<ForbiddenPredicate>), String> {
+        let spec = self.spec.as_deref().map(parse_spec).transpose();
+        let spec = spec.map_err(|e| e.to_string())?;
+        let kind = match ProtocolKind::by_name(&self.protocol, spec.as_ref()) {
+            Some(kind) => kind,
+            None if self.protocol == "synthesized" => {
+                return Err("--protocol synthesized requires --spec".into())
+            }
+            None => return Err(format!("unknown protocol `{}`", self.protocol)),
         };
-        match flag.as_str() {
-            "--protocol" => protocol = val()?,
-            "--spec" => spec = Some(val()?),
-            "--processes" => processes = val()?.parse().map_err(|e| format!("--processes: {e}"))?,
-            "--messages" => messages = val()?.parse().map_err(|e| format!("--messages: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
+        if self.processes < 2 {
+            return Err("--processes must be at least 2".into());
+        }
+        if self.step_limit == 0 {
+            return Err("--step-limit must be positive".into());
+        }
+        if self.reliable && !kind.supports_retransmission() {
+            return Err(format!(
+                "--reliable is not supported for `{}` (use fifo, causal-rst, sync or sync-batched)",
+                kind.name()
+            ));
+        }
+        let f = &self.faults;
+        let a = &f.adversarial;
+        for (flag, p) in [
+            ("--drop", f.drop),
+            ("--dup", f.duplicate),
+            ("--corrupt", a.corrupt),
+            ("--forge", a.forge),
+            ("--replay-stale", a.replay_stale),
+            ("--reorder", a.reorder),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{flag}: probability {p} not in [0, 1]"));
+            }
+        }
+        f.validate_for(self.processes).map_err(|e| e.to_string())?;
+        Ok((kind, spec))
+    }
+
+    /// The run as a trace [`Setup`] over `latency`.
+    fn setup(&self, latency: LatencyModel) -> Setup {
+        Setup {
+            processes: self.processes,
+            latency,
+            seed: self.seed,
+            faults: self.faults.clone(),
+            workload: Workload::uniform_random(self.processes, self.messages, self.seed),
+            protocol: self.protocol.clone(),
+            reliable: self.reliable,
+            spec: self.spec.clone(),
+            step_limit: self.step_limit,
+        }
+    }
+}
+
+/// `msgorder simulate [options]` — one streaming run over the observers
+/// the flags ask for, then one report whatever the flags.
+fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    let mut run = RunArgs::new(
+        "--protocol --spec --processes --messages --seed --reliable --drop --dup --corrupt \
+         --forge --replay-stale --reorder --partition --crash",
+    );
+    let (mut timeline, mut online, mut metrics) = (false, false, false);
+    let mut record_path: Option<String> = None;
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
             "--timeline" => timeline = true,
-            "--drop" => drop = parse_probability("--drop", &val()?)?,
-            "--dup" => dup = parse_probability("--dup", &val()?)?,
-            "--corrupt" => corrupt = parse_probability("--corrupt", &val()?)?,
-            "--forge" => forge = parse_probability("--forge", &val()?)?,
-            "--replay-stale" => replay_stale = parse_probability("--replay-stale", &val()?)?,
-            "--reorder" => reorder = parse_probability("--reorder", &val()?)?,
-            "--partition" => partitions.push(parse_partition(&val()?)?),
-            "--crash" => crashes.push(parse_crash(&val()?)?),
-            "--reliable" => reliable = true,
             "--online" => online = true,
-            "--record" => record_path = Some(val()?),
+            "--record" => record_path = Some(f.value()?),
             "--metrics" => metrics = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            _ if run.read(flag, &mut f)? => {}
+            _ => return Err(f.unknown()),
         }
     }
-    let spec_pred = match &spec {
-        Some(s) => Some(catalog::by_name(s).map(|e| e.predicate).map_or_else(
-            || ForbiddenPredicate::parse(s).map_err(|e| e.to_string()),
-            Ok,
-        )?),
-        None => None,
-    };
-    let kind = match protocol.as_str() {
-        "async" => ProtocolKind::Async,
-        "fifo" => ProtocolKind::Fifo,
-        "causal-rst" => ProtocolKind::CausalRst,
-        "causal-ses" => ProtocolKind::CausalSes,
-        "flush" => ProtocolKind::Flush,
-        "sync" => ProtocolKind::Sync,
-        "sync-batched" => ProtocolKind::SyncBatched,
-        "synthesized" => ProtocolKind::Synthesized(
-            spec_pred
-                .clone()
-                .ok_or_else(|| "--protocol synthesized requires --spec".to_owned())?,
-        ),
-        other => return Err(format!("unknown protocol `{other}`")),
-    };
-    if processes < 2 {
-        return Err("--processes must be at least 2".into());
+    let (kind, spec) = run.resolve()?;
+    if online && spec.is_none() {
+        return Err("--online requires --spec".into());
     }
-    if reliable && !kind.supports_retransmission() {
-        return Err(format!(
-            "--reliable is not supported for `{}` (use fifo, causal-rst, sync or sync-batched)",
-            kind.name()
-        ));
-    }
-    validate_faults(processes, &partitions, &crashes)?;
-    let mut faults = FaultModel::none()
-        .with_drop(drop)
-        .and_then(|f| f.with_duplication(dup))
-        .and_then(|f| f.with_corruption(corrupt))
-        .and_then(|f| f.with_forgery(forge))
-        .and_then(|f| f.with_stale_replay(replay_stale))
-        .and_then(|f| f.with_reordering(reorder))
-        .map_err(|e| e.to_string())?;
-    faults.partitions = partitions;
-    faults.crashes = crashes;
-    let faulty = !faults.is_quiet();
-    let w = Workload::uniform_random(processes, messages, seed);
-    if record_path.is_some() || metrics {
-        return simulate_traced(
-            &kind,
-            Setup {
-                processes,
-                latency: LatencyModel::Uniform { lo: 1, hi: 800 },
-                seed,
-                faults,
-                workload: w,
-                protocol: protocol.clone(),
-                reliable,
-                spec: spec.clone(),
-                step_limit: 1_000_000,
-            },
-            spec_pred.as_ref(),
-            online,
-            timeline,
-            record_path.as_deref(),
-            metrics,
+    let setup = run.setup(LatencyModel::Uniform { lo: 1, hi: 800 });
+    // 4 run events per message, one wire record per frame, plus slack
+    // for control traffic and retransmissions.
+    let mut recorder = record_path
+        .as_ref()
+        .map(|_| Recorder::with_capacity(setup.workload.len() * 8));
+    let mut mobs = metrics.then(MetricsObserver::new);
+    let mut monitor = spec.as_ref().filter(|_| online).map(OnlineMonitor::halting);
+    // The recorder goes first, as in `trace::record_with_extra`.
+    let mut observers: Vec<&mut dyn RunObserver> = Vec::new();
+    observers.extend(recorder.as_mut().map(|r| r as &mut dyn RunObserver));
+    observers.extend(mobs.as_mut().map(|m| m as &mut dyn RunObserver));
+    observers.extend(monitor.as_mut().map(|m| m as &mut dyn RunObserver));
+    let outcome = Simulation::new(setup.config(), setup.workload.clone(), |node| {
+        kind.instantiate_with(run.processes, node, run.reliable)
+    })
+    .with_step_limit(setup.step_limit)
+    .run_streaming(&mut Fanout(observers));
+    println!("protocol      : {}", kind.name());
+    if let (Some(path), Some(r)) = (&record_path, recorder) {
+        let trace =
+            assemble_trace(&setup, r.events, &outcome, spec.as_ref()).map_err(|e| e.to_string())?;
+        trace.write(path).map_err(|e| e.to_string())?;
+        println!(
+            "trace         : {path} ({} events, fingerprint {:016x})",
+            trace.events.len(),
+            trace.footer.fingerprint
         );
     }
-    let config = SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 800 }, seed)
-        .with_faults(faults);
-    if online {
-        let p = spec_pred
-            .as_ref()
-            .ok_or_else(|| "--online requires --spec".to_owned())?;
-        let out = msgorder::protocols::verify_online(
-            config,
-            w,
-            |node| kind.instantiate_with(processes, node, reliable),
-            p,
-        );
-        println!("protocol      : {}", kind.name());
-        println!("spec          : {p}");
-        if let Some(ce) = &out.counterexample {
-            println!("PROTOCOL BUG  : {ce}");
+    let stats = match &outcome {
+        Ok(r) => {
+            print_report(r, &setup, spec.as_ref(), monitor.as_ref());
+            &r.stats
         }
-        match (&out.violation, out.detection_event) {
-            (Some(inst), Some(at)) => {
-                println!("online verdict: VIOLATED by {inst:?}");
-                println!(
-                    "detected at   : event {} (t = {}), {} of {} messages delivered",
-                    at,
-                    out.detection_time.unwrap_or(0),
-                    out.user_run.len(),
-                    messages
-                );
-            }
-            _ => {
-                println!("online verdict: satisfied (run drained, no violation)");
-                println!("live          : {}", out.live);
-            }
-        }
-        if let Some(v) = &out.liveness {
-            print!("liveness      : {v}");
-        }
-        if timeline {
-            println!("\ntime diagram (prefix at halt):");
-            print!("{}", out.user_run.render());
-        }
-        return Ok(());
-    }
-    let r = match Simulation::run_uniform(config, w, |node| {
-        kind.instantiate_with(processes, node, reliable)
-    }) {
-        Ok(r) => r,
         Err(e) => {
-            println!("protocol      : {}", kind.name());
             println!("PROTOCOL BUG  : {e}");
             if let Some(v) = e.kind.liveness() {
                 print!("liveness      : {v}");
             }
             if let Some(trace) = &e.trace {
                 println!("\ncounterexample trace (up to the bug):");
-                print!("{}", msgorder::runs::display::render_timeline(trace));
+                print!("{}", render_timeline(trace));
             }
-            return Err("simulation hit a protocol bug".into());
+            &e.stats
         }
     };
-    let user = r.run.users_view();
-    println!("protocol      : {}", kind.name());
+    if let Some(mobs) = mobs {
+        let m = match &monitor {
+            Some(mon) => mobs.finish_with_monitor(stats, &mon.search_timings()),
+            None => mobs.finish(stats),
+        };
+        println!("\nmetrics:");
+        print!("{}", m.render());
+    }
+    match &outcome {
+        Ok(r) if timeline => {
+            let run = r.run.build().map_err(|e| e.to_string())?;
+            let prefix = if r.halted { " (prefix at halt)" } else { "" };
+            println!("\ntime diagram{prefix}:");
+            print!("{}", render_timeline(&run));
+            Ok(())
+        }
+        Ok(_) => Ok(()),
+        Err(_) => Err("simulation hit a protocol bug".into()),
+    }
+}
+
+/// `simulate`'s report of a run that did not hit a protocol bug: the
+/// cost counters, the fault and adversarial blocks when they have
+/// something to say, and the verdict. A drained run gets its `X_co` /
+/// `X_sync` membership and the post-hoc spec check; a run the online
+/// monitor halted gets the violation and where it was detected.
+fn print_report(
+    r: &StreamResult,
+    setup: &Setup,
+    spec: Option<&ForbiddenPredicate>,
+    monitor: Option<&OnlineMonitor>,
+) {
+    let s = &r.stats;
     println!("live          : {}", r.completed && r.run.is_quiescent());
     if let Some(v) = &r.liveness {
         print!("liveness      : {v}");
     }
-    println!("user messages : {}", r.stats.user_messages);
+    println!("user messages : {}", s.user_messages);
     println!(
         "control msgs  : {} ({:.2}/msg)",
-        r.stats.control_messages,
-        r.stats.control_per_user()
+        s.control_messages,
+        s.control_per_user()
     );
     println!(
         "tag bytes     : {} ({:.1}/msg)",
-        r.stats.tag_bytes,
-        r.stats.tag_bytes_per_user()
+        s.tag_bytes,
+        s.tag_bytes_per_user()
     );
-    println!("mean latency  : {:.1}", r.stats.mean_latency());
-    println!("mean inhibit  : {:.1}", r.stats.mean_inhibition());
-    if faulty || r.stats.retransmitted_frames > 0 {
-        println!("delivered     : {}/{}", r.stats.delivered, messages);
-        println!("dropped       : {}", r.stats.dropped_frames);
-        println!("duplicated    : {}", r.stats.duplicated_frames);
-        println!("retransmitted : {}", r.stats.retransmitted_frames);
-        println!("dup suppressed: {}", r.stats.suppressed_duplicates);
+    println!("mean latency  : {:.1}", s.mean_latency());
+    println!("mean inhibit  : {:.1}", s.mean_inhibition());
+    if !setup.faults.is_quiet() || s.retransmitted_frames > 0 {
+        println!("delivered     : {}/{}", s.delivered, setup.workload.len());
+        println!("dropped       : {}", s.dropped_frames);
+        println!("duplicated    : {}", s.duplicated_frames);
+        println!("retransmitted : {}", s.retransmitted_frames);
+        println!("dup suppressed: {}", s.suppressed_duplicates);
     }
-    if !r.stats.adversarial_quiet() {
-        println!("corrupted     : {}", r.stats.corrupted_frames);
-        println!("forged        : {}", r.stats.forged_frames);
-        println!("replayed      : {}", r.stats.replayed_frames);
-        println!("reordered     : {}", r.stats.reordered_frames);
-        println!("rejected      : {}", r.stats.rejected_frames);
+    if !s.adversarial_quiet() {
+        println!("corrupted     : {}", s.corrupted_frames);
+        println!("forged        : {}", s.forged_frames);
+        println!("replayed      : {}", s.replayed_frames);
+        println!("reordered     : {}", s.reordered_frames);
+        println!("rejected      : {}", s.rejected_frames);
     }
+    if let (true, Some(m)) = (r.halted, monitor) {
+        let witness: Vec<_> = m
+            .witness()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|&msg| r.run.dense_id(msg))
+            .collect();
+        println!("spec          : VIOLATED by {witness:?}");
+        println!(
+            "detected at   : event {} (t = {}), run halted, {} of {} messages delivered",
+            m.detection_event().unwrap_or(0),
+            m.detection_time().unwrap_or(0),
+            s.delivered,
+            setup.workload.len()
+        );
+        return;
+    }
+    let user = r.run.users_view();
     println!("in X_co       : {}", limit_sets::in_x_co(&user));
     println!("in X_sync     : {}", limit_sets::in_x_sync(&user));
-    if let Some(p) = &spec_pred {
+    if let Some(p) = spec {
         match eval::find_instantiation(p, &user) {
             None => println!("spec          : satisfied"),
             Some(inst) => println!("spec          : VIOLATED by {inst:?}"),
         }
     }
-    if timeline {
-        println!(
-            "
-time diagram:"
-        );
-        print!("{}", msgorder::runs::display::render_timeline(&r.run));
-    }
-    Ok(())
-}
-
-/// The `--record` / `--metrics` pipeline: runs the simulation through
-/// the trace recorder (fanning out to the metrics collector and/or the
-/// online monitor), writes the JSONL trace, and prints the reports.
-fn simulate_traced(
-    kind: &ProtocolKind,
-    setup: Setup,
-    spec_pred: Option<&ForbiddenPredicate>,
-    online: bool,
-    timeline: bool,
-    record_path: Option<&str>,
-    metrics: bool,
-) -> Result<(), String> {
-    if online && spec_pred.is_none() {
-        return Err("--online requires --spec".into());
-    }
-    let processes = setup.processes;
-    let reliable = setup.reliable;
-    let mut mobs = MetricsObserver::new();
-    let mut monitor = match (online, spec_pred) {
-        (true, Some(p)) => Some(OnlineMonitor::halting(p)),
-        _ => None,
-    };
-    let recorded = {
-        let mut extras: Vec<&mut dyn RunObserver> = Vec::new();
-        if metrics {
-            extras.push(&mut mobs);
-        }
-        if let Some(m) = monitor.as_mut() {
-            extras.push(m);
-        }
-        let mut fan = Fanout(extras);
-        let extra: Option<&mut dyn RunObserver> = if fan.0.is_empty() {
-            None
-        } else {
-            Some(&mut fan)
-        };
-        record_with_extra(
-            &setup,
-            |node| kind.instantiate_with(processes, node, reliable),
-            extra,
-        )
-        .map_err(|e| e.to_string())?
-    };
-    println!("protocol      : {}", kind.name());
-    if let Some(path) = record_path {
-        recorded.trace.write(path).map_err(|e| e.to_string())?;
-        println!(
-            "trace         : {path} ({} events, fingerprint {:016x})",
-            recorded.trace.events.len(),
-            recorded.trace.footer.fingerprint
-        );
-    }
-    let footer = &recorded.trace.footer;
-    let buggy = match &recorded.outcome {
-        Err(e) => {
-            println!("PROTOCOL BUG  : {e}");
-            if let Some(v) = e.kind.liveness() {
-                print!("liveness      : {v}");
-            }
-            if let Some(run) = &e.trace {
-                println!("\ncounterexample trace (up to the bug):");
-                print!("{}", msgorder::runs::display::render_timeline(run));
-            }
-            true
-        }
-        Ok(r) => {
-            println!("live          : {}", r.completed && r.run.is_quiescent());
-            if let Some(v) = &r.liveness {
-                print!("liveness      : {v}");
-            }
-            false
-        }
-    };
-    println!("user messages : {}", footer.stats.user_messages);
-    println!(
-        "control msgs  : {} ({:.2}/msg)",
-        footer.stats.control_messages,
-        footer.stats.control_per_user()
-    );
-    println!("delivered     : {}", footer.stats.delivered);
-    if !footer.stats.adversarial_quiet() {
-        println!("corrupted     : {}", footer.stats.corrupted_frames);
-        println!("forged        : {}", footer.stats.forged_frames);
-        println!("replayed      : {}", footer.stats.replayed_frames);
-        println!("reordered     : {}", footer.stats.reordered_frames);
-        println!("rejected      : {}", footer.stats.rejected_frames);
-    }
-    match (&footer.verdict, monitor.as_ref()) {
-        (Some(v), _) if v.violated => {
-            println!("spec          : VIOLATED by {:?}", v.witness);
-            if let Some(m) = monitor.as_ref() {
-                if let (Some(at), Some(t)) = (m.detection_event(), m.detection_time()) {
-                    println!("detected at   : event {at} (t = {t}), run halted");
-                }
-            }
-        }
-        (Some(_), _) => println!("spec          : satisfied"),
-        (None, _) => {}
-    }
-    if metrics {
-        let m = match monitor.as_ref() {
-            Some(mon) => mobs.finish_with_monitor(&footer.stats, &mon.search_timings()),
-            None => mobs.finish(&footer.stats),
-        };
-        println!("\nmetrics:");
-        print!("{}", m.render());
-    }
-    if timeline {
-        if let Ok(r) = &recorded.outcome {
-            if let Ok(run) = r.run.build() {
-                println!("\ntime diagram:");
-                print!("{}", msgorder::runs::display::render_timeline(&run));
-            }
-        }
-    }
-    if buggy {
-        return Err("simulation hit a protocol bug".into());
-    }
-    Ok(())
 }
 
 /// `msgorder replay <trace.jsonl> [--metrics]` — re-execute a recorded
@@ -686,8 +652,9 @@ fn simulate_traced(
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let mut path: Option<String> = None;
     let mut metrics = false;
-    for a in args {
-        match a.as_str() {
+    let mut f = Flags::new(args);
+    while let Some(arg) = f.next_flag() {
+        match arg {
             "--metrics" => metrics = true,
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -781,16 +748,10 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 fn cmd_shrink(args: &[String]) -> Result<(), String> {
     let mut path: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--out needs a value".to_owned())?,
-                )
-            }
+    let mut f = Flags::new(args);
+    while let Some(arg) = f.next_flag() {
+        match arg {
+            "--out" => out = Some(f.value()?),
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_owned()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -829,162 +790,111 @@ fn cmd_shrink(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A 64-bit FNV-1a digest of a terminal run's *partial order* (message
-/// metadata + covering pairs of `▷`): identical for identical user
-/// views, whatever schedule produced them. Violation digests are
-/// combined by wrapping addition, so the total is independent of the
-/// order workers reach the violating schedules in.
-fn run_digest(run: &msgorder::runs::SystemRun) -> u64 {
-    let snap = msgorder::runs::UserRunSnapshot::from(&run.users_view());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |h: &mut u64, v: u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for m in &snap.messages {
-        eat(&mut h, m.src.0 as u64);
-        eat(&mut h, m.dst.0 as u64);
-    }
-    for &(a, b) in &snap.covers {
-        eat(&mut h, a as u64);
-        eat(&mut h, b as u64);
-    }
-    h
-}
-
 /// `msgorder explore [options]` — exhaustive schedule exploration
 /// (model checking) of an explorable protocol on a seeded workload:
 /// sleep-set partial-order reduction, a sharded work-stealing frontier
 /// for `--threads`, and an optional bounded/disk-spillable seen-set.
 fn cmd_explore(args: &[String]) -> Result<(), String> {
-    let mut protocol = "async".to_owned();
-    let mut spec: Option<String> = None;
-    let mut processes = 3usize;
-    let mut messages = 6usize;
-    let mut seed = 1u64;
+    use msgorder::simnet::{explore_parallel_with, DedupMode, ExploreOptions};
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+
+    let mut run = RunArgs {
+        protocol: "async".to_owned(),
+        processes: 3,
+        messages: 6,
+        ..RunArgs::new("--protocol --spec --processes --messages --seed --drop --dup")
+    };
     let mut por = true;
     let mut threads = 1usize;
-    let mut dedup: Option<String> = None;
+    let mut dedup: Option<DedupMode> = None;
     let mut max_states: Option<usize> = None;
     let mut spill: Option<String> = None;
     let mut cap: Option<usize> = None;
     let mut max_depth: Option<usize> = None;
-    let mut drop = 0.0f64;
-    let mut dup = 0.0f64;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--protocol" => protocol = val()?,
-            "--spec" => spec = Some(val()?),
-            "--processes" => processes = val()?.parse().map_err(|e| format!("--processes: {e}"))?,
-            "--messages" => messages = val()?.parse().map_err(|e| format!("--messages: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
             "--por" => {
-                por = match val()?.as_str() {
+                por = match f.value()?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("--por: expected `on` or `off`, got `{other}`")),
                 }
             }
-            "--threads" => threads = val()?.parse().map_err(|e| format!("--threads: {e}"))?,
+            "--threads" => threads = f.parse()?,
             "--dedup" => {
-                let v = val()?;
-                match v.as_str() {
-                    "off" | "exact" | "compact" => dedup = Some(v),
+                dedup = Some(match f.value()?.as_str() {
+                    "off" => DedupMode::Off,
+                    "exact" => DedupMode::Exact,
+                    "compact" => DedupMode::Compact {
+                        max_states: 0,
+                        spill: None,
+                    },
                     other => {
                         return Err(format!(
                             "--dedup: expected `off`, `exact` or `compact`, got `{other}`"
                         ))
                     }
-                }
+                })
             }
-            "--max-states" => {
-                max_states = Some(val()?.parse().map_err(|e| format!("--max-states: {e}"))?)
-            }
-            "--spill" => spill = Some(val()?),
-            "--cap" => cap = Some(val()?.parse().map_err(|e| format!("--cap: {e}"))?),
-            "--max-depth" => {
-                max_depth = Some(val()?.parse().map_err(|e| format!("--max-depth: {e}"))?)
-            }
-            "--drop" => drop = parse_probability("--drop", &val()?)?,
-            "--dup" => dup = parse_probability("--dup", &val()?)?,
-            other => return Err(format!("unknown flag `{other}`")),
+            "--max-states" => max_states = Some(f.parse()?),
+            "--spill" => spill = Some(f.value()?),
+            "--cap" => cap = Some(f.parse()?),
+            "--max-depth" => max_depth = Some(f.parse()?),
+            _ if run.read(flag, &mut f)? => {}
+            _ => return Err(f.unknown()),
         }
     }
-    if processes < 2 {
-        return Err("--processes must be at least 2".into());
-    }
+    let (kind, spec) = run.resolve()?;
+    let (processes, messages, seed, faults) = (run.processes, run.messages, run.seed, run.faults);
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }
     if spill.is_some() && max_states.is_none() {
         return Err("--spill requires --max-states (nothing overflows an unbounded set)".into());
     }
-    if max_states.is_some() && dedup.as_deref().is_some_and(|d| d != "compact") {
-        return Err(
-            "--max-states requires --dedup compact (its seen-set is the bounded one)".into(),
-        );
-    }
-    let dedup_mode = if max_states.is_some() || dedup.as_deref() == Some("compact") {
-        msgorder::simnet::DedupMode::Compact {
-            max_states: max_states.unwrap_or(0),
+    let dedup_mode = match (dedup, max_states) {
+        (None | Some(DedupMode::Compact { .. }), Some(max_states)) => DedupMode::Compact {
+            max_states,
             spill: spill.map(std::path::PathBuf::from),
+        },
+        (Some(_), Some(_)) => {
+            return Err(
+                "--max-states requires --dedup compact (its seen-set is the bounded one)".into(),
+            )
         }
-    } else if dedup.as_deref() == Some("exact") {
-        msgorder::simnet::DedupMode::Exact
-    } else {
-        msgorder::simnet::DedupMode::Off
+        (dedup, None) => dedup.unwrap_or(DedupMode::Off),
     };
-    let faults = FaultModel::none()
-        .with_drop(drop)
-        .and_then(|f| f.with_duplication(dup))
-        .map_err(|e| e.to_string())?;
-    if dedup_mode != msgorder::simnet::DedupMode::Off && !faults.is_quiet() {
+    if dedup_mode != DedupMode::Off && !faults.is_quiet() {
         return Err(
             "--dedup requires a quiet fault model: the probabilistic fault stream is part \
              of the configuration but cannot be keyed (remove --drop/--dup)"
                 .into(),
         );
     }
-    let spec_pred = match &spec {
-        Some(s) => Some(catalog::by_name(s).map(|e| e.predicate).map_or_else(
-            || ForbiddenPredicate::parse(s).map_err(|e| e.to_string()),
-            Ok,
-        )?),
-        None => None,
-    };
-    let kind = ProtocolKind::by_name(&protocol, spec_pred.as_ref())
-        .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
     if kind.explorable(processes, 0).is_none() {
         return Err(format!(
-            "--protocol `{protocol}` is not explorable (its state cannot be fingerprinted); \
-             use async, fifo, causal-rst, causal-ses, sync or sync-batched"
+            "--protocol `{}` is not explorable (its state cannot be fingerprinted); \
+             use async, fifo, causal-rst, causal-ses, sync or sync-batched",
+            run.protocol
         ));
     }
     let por_effective = por && faults.is_quiet();
-    let opts = msgorder::simnet::ExploreOptions {
+    let opts = ExploreOptions {
         cap: cap.unwrap_or(usize::MAX),
         por,
         threads,
         dedup: dedup_mode.clone(),
-        max_depth: max_depth.unwrap_or(msgorder::simnet::ExploreOptions::default().max_depth),
+        max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
         faults,
     };
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let violations = AtomicUsize::new(0);
     // Distinct violating *configurations* (user-view partial orders) by
     // digest: invariant under --por/--threads/--dedup, which only change
     // how many schedules reach each configuration — so the summary line
     // is comparable across explorer settings (the CI smoke pins it).
-    let violating_configs: Mutex<std::collections::BTreeSet<u64>> =
-        Mutex::new(std::collections::BTreeSet::new());
-    let out = msgorder::simnet::explore_parallel_with(
+    let violating = Mutex::new((0usize, BTreeSet::<u64>::new()));
+    let out = explore_parallel_with(
         processes,
         Workload::uniform_random(processes, messages, seed),
         |node| {
@@ -993,13 +903,12 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         },
         &opts,
         &|run| {
-            if let Some(p) = &spec_pred {
-                if eval::find_instantiation(p, &run.users_view()).is_some() {
-                    violations.fetch_add(1, Ordering::Relaxed);
-                    violating_configs
-                        .lock()
-                        .expect("no panics hold the digest lock")
-                        .insert(run_digest(run));
+            if let Some(p) = &spec {
+                let user = run.users_view();
+                if eval::find_instantiation(p, &user).is_some() {
+                    let mut v = violating.lock().expect("no panics hold the digest lock");
+                    v.0 += 1;
+                    v.1.insert(UserRunSnapshot::from(&user).digest());
                 }
             }
             true
@@ -1019,13 +928,13 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     println!(
         "dedup         : {}",
         match &dedup_mode {
-            msgorder::simnet::DedupMode::Off => "off".to_owned(),
-            msgorder::simnet::DedupMode::Exact => "exact".to_owned(),
-            msgorder::simnet::DedupMode::Compact {
+            DedupMode::Off => "off".to_owned(),
+            DedupMode::Exact => "exact".to_owned(),
+            DedupMode::Compact {
                 max_states: 0,
                 spill: None,
             } => "compact".to_owned(),
-            msgorder::simnet::DedupMode::Compact { max_states, spill } => format!(
+            DedupMode::Compact { max_states, spill } => format!(
                 "compact (max {max_states} states{})",
                 spill
                     .as_ref()
@@ -1047,14 +956,13 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         println!("PROTOCOL BUG  : {e}");
         return Err("exploration found a protocol bug".into());
     }
-    if let Some(p) = &spec_pred {
-        let configs = violating_configs
-            .lock()
+    if let Some(p) = &spec {
+        let (schedules, configs) = violating
+            .into_inner()
             .expect("no panics hold the digest lock");
         let digest = configs.iter().fold(0u64, |acc, d| acc.wrapping_add(*d));
         println!(
-            "violations    : {} schedule(s), {} distinct configuration(s) violate {p}",
-            violations.load(Ordering::Relaxed),
+            "violations    : {schedules} schedule(s), {} distinct configuration(s) violate {p}",
             configs.len()
         );
         println!("digest        : {digest:#018x}");
@@ -1066,48 +974,27 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
 /// × fault model × workload; violations are shrunk to minimal
 /// reproducers and deduplicated by failure mode.
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    let mut trials = 50usize;
-    let mut seed = 1u64;
-    let mut protocols: Vec<String> = Vec::new();
-    let mut step_limit: Option<usize> = None;
-    let mut no_shrink = false;
-    let mut confirm = false;
-    let mut adversarial = false;
+    let mut config = msgorder::trace::chaos::ChaosConfig::new(50, 1);
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--trials" => trials = val()?.parse().map_err(|e| format!("--trials: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--protocol" => protocols.push(val()?),
-            "--step-limit" => {
-                step_limit = Some(val()?.parse().map_err(|e| format!("--step-limit: {e}"))?)
-            }
-            "--no-shrink" => no_shrink = true,
-            "--confirm" => confirm = true,
-            "--adversarial" => adversarial = true,
-            "--out" => out = Some(val()?),
-            other => return Err(format!("unknown flag `{other}`")),
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--trials" => config.trials = f.parse()?,
+            "--seed" => config.seed = f.parse()?,
+            "--protocol" => config.protocols.push(f.value()?),
+            "--step-limit" => config.step_limit = f.parse()?,
+            "--no-shrink" => config.shrink = false,
+            "--confirm" => config.confirm = true,
+            "--adversarial" => config.adversarial = true,
+            "--out" => out = Some(f.value()?),
+            _ => return Err(f.unknown()),
         }
     }
-    for p in &protocols {
+    for p in &config.protocols {
         if ProtocolKind::by_name(p, None).is_none() {
             return Err(format!("--protocol: `{p}` is not in the registry"));
         }
     }
-    let mut config = msgorder::trace::chaos::ChaosConfig::new(trials, seed);
-    config.protocols = protocols;
-    if let Some(limit) = step_limit {
-        config.step_limit = limit;
-    }
-    config.shrink = !no_shrink;
-    config.confirm = confirm;
-    config.adversarial = adversarial;
     let report = msgorder::trace::chaos::sweep(&config).map_err(|e| e.to_string())?;
     print!("{}", report.table());
     if let Some(dir) = out {
@@ -1119,17 +1006,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Parses a `--metrics-addr` value: a full `tcp:`/`unix:` endpoint or
-/// a bare `HOST:PORT` (which implies TCP).
-fn metrics_endpoint(addr: &str) -> Result<msgorder::transport::Endpoint, String> {
-    use msgorder::transport::Endpoint;
-    if addr.starts_with("tcp:") || addr.starts_with("unix:") {
-        Endpoint::parse(addr)
-    } else {
-        Endpoint::parse(&format!("tcp:{addr}"))
-    }
 }
 
 /// Parses a human duration: `45s`, `5m`, `2h`, `500ms`, or bare
@@ -1155,91 +1031,100 @@ fn parse_duration(s: &str) -> Result<std::time::Duration, String> {
         .ok_or_else(|| format!("duration {s:?} overflows"))
 }
 
+/// Reads a `--wire-chaos` seed.
+fn wire_chaos_seed(f: &mut Flags) -> Result<u64, String> {
+    f.parse()
+        .map_err(|e| format!("{e} (expected a u64 seed, e.g. --wire-chaos 7)"))
+}
+
+/// The `--metrics-addr` HTTP endpoint and the `--metrics-out` snapshot
+/// file of a live session, both reading one shared registry.
+struct Exporters {
+    http: Option<msgorder::transport::MetricsExporter>,
+    file: Option<(msgorder::trace::FileExporter, String)>,
+}
+
+impl Exporters {
+    fn start(
+        addr: Option<&str>,
+        out: Option<String>,
+        registry: &msgorder::trace::SharedRegistry,
+    ) -> Result<Exporters, String> {
+        use msgorder::trace::FileExporter;
+        use msgorder::transport::{Endpoint, MetricsExporter};
+        let http = addr
+            .map(|addr| {
+                // A full `tcp:`/`unix:` endpoint, or a bare `HOST:PORT`
+                // (which implies TCP).
+                let ep = match addr.starts_with("tcp:") || addr.starts_with("unix:") {
+                    true => Endpoint::parse(addr)?,
+                    false => Endpoint::parse(&format!("tcp:{addr}"))?,
+                };
+                let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
+                let exporter =
+                    MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
+                println!("metrics       : http on {}", exporter.endpoint());
+                Ok::<_, String>(exporter)
+            })
+            .transpose()?;
+        let file = out.map(|path| {
+            let period = std::time::Duration::from_secs(1);
+            let fx = FileExporter::start(path.clone().into(), registry.clone(), period);
+            (fx, path)
+        });
+        Ok(Exporters { http, file })
+    }
+
+    /// Shuts the endpoint down, then stops the snapshot file writer
+    /// and names the file.
+    fn stop(self) {
+        if let Some(exporter) = self.http {
+            exporter.shutdown();
+        }
+        if let Some((fx, path)) = self.file {
+            fx.stop();
+            println!("metrics file  : {path}");
+        }
+    }
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use msgorder::trace::registry::{names, observe_drift};
-    use msgorder::trace::{FileExporter, LiveMetrics, SharedRegistry};
-    use msgorder::transport::{serve_on_observed, Endpoint, MetricsExporter, ServeOptions};
+    use msgorder::trace::{LiveMetrics, SharedRegistry};
+    use msgorder::transport::{serve_on_observed, Endpoint, ServeOptions};
     use std::time::Duration;
 
+    let mut run = RunArgs {
+        processes: 3,
+        ..RunArgs::new("--protocol --spec --processes --messages --seed --reliable --step-limit")
+    };
     let mut transport = "tcp:127.0.0.1:4600".to_owned();
-    let mut protocol = "causal-rst".to_owned();
-    let mut spec: Option<String> = None;
-    let mut processes = 3usize;
-    let mut messages = 30usize;
-    let mut seed = 1u64;
-    let mut reliable = false;
-    let mut step_limit = 1_000_000usize;
     let mut tick_us = 0u64;
     let mut record_path: Option<String> = None;
     let mut spawn = false;
     let mut metrics_addr: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut wire_chaos: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--transport" => transport = val()?,
-            "--protocol" => protocol = val()?,
-            "--spec" => spec = Some(val()?),
-            "--processes" => processes = val()?.parse().map_err(|e| format!("--processes: {e}"))?,
-            "--messages" => messages = val()?.parse().map_err(|e| format!("--messages: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--reliable" => reliable = true,
-            "--step-limit" => {
-                step_limit = val()?.parse().map_err(|e| format!("--step-limit: {e}"))?
-            }
-            "--tick-us" => tick_us = val()?.parse().map_err(|e| format!("--tick-us: {e}"))?,
-            "--record" => record_path = Some(val()?),
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--transport" => transport = f.value()?,
+            "--tick-us" => tick_us = f.parse()?,
+            "--record" => record_path = Some(f.value()?),
             "--spawn" => spawn = true,
-            "--metrics-addr" => metrics_addr = Some(val()?),
-            "--metrics-out" => metrics_out = Some(val()?),
-            "--wire-chaos" => {
-                wire_chaos = Some(val()?.parse().map_err(|e| {
-                    format!("--wire-chaos: {e} (expected a u64 seed, e.g. --wire-chaos 7)")
-                })?)
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            "--metrics-addr" => metrics_addr = Some(f.value()?),
+            "--metrics-out" => metrics_out = Some(f.value()?),
+            "--wire-chaos" => wire_chaos = Some(wire_chaos_seed(&mut f)?),
+            _ if run.read(flag, &mut f)? => {}
+            _ => return Err(f.unknown()),
         }
     }
-    if processes < 2 {
-        return Err("--processes must be at least 2".into());
-    }
-    if step_limit == 0 {
-        return Err("--step-limit must be positive".into());
-    }
+    let (kind, spec) = run.resolve()?;
     let endpoint = Endpoint::parse(&transport)?;
-    let setup = Setup {
-        processes,
-        latency: LatencyModel::Fixed(1),
-        seed,
-        faults: FaultModel::none(),
-        workload: Workload::uniform_random(processes, messages, seed),
-        protocol,
-        reliable,
-        spec,
-        step_limit,
-    };
-    let spec_pred = setup.spec_predicate().map_err(|e| e.to_string())?;
-    let kind = ProtocolKind::by_name(&setup.protocol, spec_pred.as_ref())
-        .ok_or_else(|| format!("unknown protocol `{}`", setup.protocol))?;
-    if reliable && !kind.supports_retransmission() {
-        return Err(format!(
-            "--reliable is not supported for `{}` (use fifo, causal-rst, sync or sync-batched)",
-            kind.name()
-        ));
-    }
-    let mut opts = ServeOptions::new(endpoint, setup);
+    let listener = endpoint.listen().map_err(|e| format!("{endpoint}: {e}"))?;
+    let mut opts = ServeOptions::new(endpoint, run.setup(LatencyModel::Fixed(1)));
     opts.tick = Duration::from_micros(tick_us);
     opts.wire_chaos = wire_chaos;
-    let listener = opts
-        .endpoint
-        .listen()
-        .map_err(|e| format!("{}: {e}", opts.endpoint))?;
     let dial = listener.local_endpoint().map_err(|e| e.to_string())?;
     println!("listening     : {dial}");
     println!(
@@ -1248,7 +1133,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         opts.setup.processes,
         opts.setup.workload.len(),
         opts.setup.seed,
-        if reliable { ", reliable link" } else { "" },
+        if run.reliable { ", reliable link" } else { "" },
     );
     if let Some(seed) = wire_chaos {
         println!("wire chaos    : CRC-corrupt frame copies injected (seed {seed})");
@@ -1256,21 +1141,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Optional live metrics: one shared registry feeds the HTTP
     // endpoint and/or the periodic snapshot file while the run streams.
     let registry = SharedRegistry::new();
-    let exporter = match &metrics_addr {
-        Some(addr) => {
-            let ep = metrics_endpoint(addr)?;
-            let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
-            let exporter =
-                MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
-            println!("metrics       : http on {}", exporter.endpoint());
-            Some(exporter)
-        }
-        None => None,
-    };
-    let file_exporter = metrics_out
-        .as_ref()
-        .map(|path| FileExporter::start(path.into(), registry.clone(), Duration::from_secs(1)));
-    let mut live = (exporter.is_some() || file_exporter.is_some()).then(|| {
+    let exporters = Exporters::start(metrics_addr.as_deref(), metrics_out, &registry)?;
+    let mut live = (exporters.http.is_some() || exporters.file.is_some()).then(|| {
         LiveMetrics::new(registry.clone())
             .with_terminal_eviction(opts.setup.reliable, &opts.setup.faults)
     });
@@ -1297,7 +1169,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let extra: Option<&mut dyn RunObserver> = live.as_mut().map(|l| l as &mut dyn RunObserver);
     let outcome =
-        serve_on_observed(listener, &opts, spec_pred.as_ref(), extra).map_err(|e| e.to_string())?;
+        serve_on_observed(listener, &opts, spec.as_ref(), extra).map_err(|e| e.to_string())?;
     // Frames the server discarded for CRC mismatch join the same
     // rejection family the simulator's validators feed, under their
     // own reason label.
@@ -1316,15 +1188,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     for mut child in children {
         let _ = child.wait();
     }
-    if let Some(exporter) = exporter {
-        exporter.shutdown();
-    }
-    if let Some(fx) = file_exporter {
-        fx.stop();
-        if let Some(path) = &metrics_out {
-            println!("metrics file  : {path}");
-        }
-    }
+    exporters.stop();
     if wire_chaos.is_some() || outcome.crc_rejected > 0 {
         println!(
             "wire rejected : {} crc-invalid frame(s) at the server ({} corrupt copies injected)",
@@ -1374,75 +1238,51 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_soak(args: &[String]) -> Result<(), String> {
     use msgorder::trace::registry::parse_samples;
     use msgorder::trace::soak::{run_soak, SoakConfig};
-    use msgorder::trace::{FileExporter, SharedRegistry};
-    use msgorder::transport::{scrape, MetricsExporter};
+    use msgorder::trace::SharedRegistry;
+    use msgorder::transport::scrape;
     use std::time::Duration;
 
     let mut config = SoakConfig::new(Duration::from_secs(60));
+    let mut run = RunArgs {
+        messages: 256,
+        seed: 0xC0FFEE,
+        ..RunArgs::new(
+            "--protocol --spec --processes --messages --seed --drop --dup --reliable --step-limit",
+        )
+    };
     let mut metrics_addr: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut report_path: Option<String> = None;
     let mut max_rss_growth_mb: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--duration" => config.duration = parse_duration(&val()?)?,
-            "--protocol" => config.protocol = val()?,
-            "--spec" => config.spec = Some(val()?),
-            "--processes" => {
-                config.processes = val()?.parse().map_err(|e| format!("--processes: {e}"))?
-            }
-            "--messages" => {
-                config.messages_per_episode =
-                    val()?.parse().map_err(|e| format!("--messages: {e}"))?
-            }
-            "--seed" => config.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--drop" => config.drop = val()?.parse().map_err(|e| format!("--drop: {e}"))?,
-            "--dup" => config.duplication = val()?.parse().map_err(|e| format!("--dup: {e}"))?,
-            "--reliable" => config.reliable = true,
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--duration" => config.duration = parse_duration(&f.value()?)?,
             "--adversarial" => config.adversarial = true,
             "--no-rotate" => config.rotate_faults = false,
-            "--step-limit" => {
-                config.step_limit = val()?.parse().map_err(|e| format!("--step-limit: {e}"))?
-            }
-            "--max-episodes" => {
-                config.max_episodes =
-                    Some(val()?.parse().map_err(|e| format!("--max-episodes: {e}"))?)
-            }
-            "--metrics-addr" => metrics_addr = Some(val()?),
-            "--metrics-out" => metrics_out = Some(val()?),
-            "--report" => report_path = Some(val()?),
-            "--max-rss-growth-mb" => {
-                max_rss_growth_mb = Some(
-                    val()?
-                        .parse()
-                        .map_err(|e| format!("--max-rss-growth-mb: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            "--max-episodes" => config.max_episodes = Some(f.parse()?),
+            "--metrics-addr" => metrics_addr = Some(f.value()?),
+            "--metrics-out" => metrics_out = Some(f.value()?),
+            "--report" => report_path = Some(f.value()?),
+            "--max-rss-growth-mb" => max_rss_growth_mb = Some(f.parse()?),
+            _ if run.read(flag, &mut f)? => {}
+            _ => return Err(f.unknown()),
         }
     }
+    // Bad input fails here, before the banner and the first episode.
+    run.resolve()?;
+    config.protocol = run.protocol;
+    config.spec = run.spec;
+    config.processes = run.processes;
+    config.messages_per_episode = run.messages;
+    config.seed = run.seed;
+    config.drop = run.faults.drop;
+    config.duplication = run.faults.duplicate;
+    config.reliable = run.reliable;
+    config.step_limit = run.step_limit;
 
     let registry = SharedRegistry::new();
-    let exporter = match &metrics_addr {
-        Some(addr) => {
-            let ep = metrics_endpoint(addr)?;
-            let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
-            let exporter =
-                MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
-            println!("metrics       : http on {}", exporter.endpoint());
-            Some(exporter)
-        }
-        None => None,
-    };
-    let file_exporter = metrics_out
-        .as_ref()
-        .map(|path| FileExporter::start(path.into(), registry.clone(), Duration::from_secs(1)));
+    let exporters = Exporters::start(metrics_addr.as_deref(), metrics_out, &registry)?;
     println!(
         "soak          : {} x{}, {} messages/episode, seed {}, drop {}, dup {}{}{}",
         config.protocol,
@@ -1470,22 +1310,15 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
 
     // Prove the endpoint answers with parseable metrics before tearing
     // it down: a soak whose observability was dead is not a pass.
-    let mut endpoint_ok = None;
-    if let Some(exporter) = exporter {
-        let check = scrape(exporter.endpoint())
+    let check = exporters.http.as_ref().map(|exporter| {
+        scrape(exporter.endpoint())
             .map_err(|e| e.to_string())
-            .and_then(|body| parse_samples(&body));
-        endpoint_ok = Some(check.is_ok());
-        exporter.shutdown();
-        if let Err(e) = check {
-            return Err(format!("metrics endpoint self-scrape failed: {e}"));
-        }
-    }
-    if let Some(fx) = file_exporter {
-        fx.stop();
-        if let Some(path) = &metrics_out {
-            println!("metrics file  : {path}");
-        }
+            .and_then(|body| parse_samples(&body))
+    });
+    exporters.stop();
+    let endpoint_ok = check.as_ref().map(Result::is_ok);
+    if let Some(Err(e)) = check {
+        return Err(format!("metrics endpoint self-scrape failed: {e}"));
     }
 
     println!(
@@ -1555,22 +1388,13 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let mut connect: Option<String> = None;
     let mut node: Option<usize> = None;
     let mut wire_chaos: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--connect" => connect = Some(val()?),
-            "--node" => node = Some(val()?.parse().map_err(|e| format!("--node: {e}"))?),
-            "--wire-chaos" => {
-                wire_chaos = Some(val()?.parse().map_err(|e| {
-                    format!("--wire-chaos: {e} (expected a u64 seed, e.g. --wire-chaos 7)")
-                })?)
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--connect" => connect = Some(f.value()?),
+            "--node" => node = Some(f.parse()?),
+            "--wire-chaos" => wire_chaos = Some(wire_chaos_seed(&mut f)?),
+            _ => return Err(f.unknown()),
         }
     }
     let connect = connect.ok_or("--connect is required (tcp:HOST:PORT or unix:PATH)")?;

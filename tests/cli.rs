@@ -396,11 +396,122 @@ fn fault_flags_are_validated() {
         ),
         (&["simulate", "--drop", "1.5"], "not in [0, 1]"),
         (&["simulate", "--dup", "-0.1"], "not in [0, 1]"),
+        (
+            &["soak", "--max-episodes", "1", "--drop", "1.5"],
+            "--drop: probability 1.5 not in [0, 1]",
+        ),
+        (
+            &["soak", "--max-episodes", "1", "--drop", "-0.5"],
+            "--drop: probability -0.5 not in [0, 1]",
+        ),
+        (
+            &["soak", "--max-episodes", "1", "--processes", "1"],
+            "--processes must be at least 2",
+        ),
     ];
     for (args, needle) in cases {
-        let (ok, _, stderr) = msgorder(args);
+        let (ok, stdout, stderr) = msgorder(args);
         assert!(!ok, "{args:?} must fail");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(
+            stdout.is_empty(),
+            "{args:?}: bad input must fail before any output: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn simulate_report_is_the_same_whatever_the_observers() {
+    let dir = std::env::temp_dir().join(format!("msgorder-cli-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("report.jsonl");
+    let base = [
+        "simulate",
+        "--protocol",
+        "causal-rst",
+        "--processes",
+        "3",
+        "--messages",
+        "10",
+        "--seed",
+        "2",
+        "--spec",
+        "causal",
+    ];
+    let shared = [
+        "live ",
+        "user messages",
+        "control msgs",
+        "tag bytes",
+        "mean latency",
+        "mean inhibit",
+        "in X_co",
+        "in X_sync",
+        "spec ",
+    ];
+    let report = |extra: &[&str]| {
+        let mut args: Vec<&str> = base.to_vec();
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = msgorder(&args);
+        assert!(ok, "{args:?}: {stdout}{stderr}");
+        shared
+            .iter()
+            .map(|label| {
+                stdout
+                    .lines()
+                    .find(|l| l.starts_with(label))
+                    .unwrap_or_else(|| panic!("{args:?}: no `{label}` line in {stdout}"))
+                    .to_owned()
+            })
+            .collect::<Vec<_>>()
+    };
+    let plain = report(&[]);
+    let recorded = report(&["--record", trace.to_str().unwrap()]);
+    let metrics = report(&["--metrics"]);
+    let online = report(&["--online"]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(plain, recorded, "--record changed the report");
+    assert_eq!(plain, metrics, "--metrics changed the report");
+    assert_eq!(plain, online, "--online changed the report");
+}
+
+#[test]
+fn subcommands_reject_run_flags_they_never_accepted() {
+    let cases: &[(&str, &[&str])] = &[
+        ("simulate", &["--step-limit", "5"]),
+        ("explore", &["--reliable"]),
+        ("explore", &["--corrupt", "0.1"]),
+        ("explore", &["--forge", "0.1"]),
+        ("explore", &["--replay-stale", "0.1"]),
+        ("explore", &["--reorder", "0.1"]),
+        ("explore", &["--partition", "0:1:0:5"]),
+        ("explore", &["--crash", "1:5"]),
+        ("explore", &["--step-limit", "5"]),
+        ("serve", &["--drop", "0.1"]),
+        ("serve", &["--dup", "0.1"]),
+        ("serve", &["--corrupt", "0.1"]),
+        ("serve", &["--forge", "0.1"]),
+        ("serve", &["--replay-stale", "0.1"]),
+        ("serve", &["--reorder", "0.1"]),
+        ("serve", &["--partition", "0:1:0:5"]),
+        ("serve", &["--crash", "1:5"]),
+        ("soak", &["--corrupt", "0.1"]),
+        ("soak", &["--forge", "0.1"]),
+        ("soak", &["--replay-stale", "0.1"]),
+        ("soak", &["--reorder", "0.1"]),
+        ("soak", &["--partition", "0:1:0:5"]),
+        ("soak", &["--crash", "1:5"]),
+    ];
+    for (cmd, flag) in cases {
+        let mut args = vec![*cmd];
+        if *cmd == "soak" {
+            args.extend(["--max-episodes", "1"]);
+        }
+        args.extend_from_slice(flag);
+        let (ok, _, stderr) = msgorder(&args);
+        assert!(!ok, "{args:?} must fail");
+        let needle = format!("unknown flag `{}`", flag[0]);
+        assert!(stderr.contains(&needle), "{args:?}: {stderr}");
     }
 }
 
