@@ -21,74 +21,67 @@ pub struct TransitiveClosure {
 impl TransitiveClosure {
     /// Computes the closure of `g`.
     ///
-    /// Uses the SCC condensation so cyclic inputs are handled correctly
-    /// (every node in a non-trivial SCC reaches itself), then propagates
-    /// row unions in reverse topological order — `O(n * m / 64)` words.
+    /// Works in node space over the SCC condensation, so cyclic inputs
+    /// are handled correctly (every node in a non-trivial SCC reaches
+    /// itself). Tarjan emits components successors-first, so one pass in
+    /// that order completes every row from its successors' rows, and one
+    /// pass in the reverse order completes every column from its
+    /// predecessors' columns — each edge costs one whole-word union,
+    /// `O(n * m / 64)` words in all.
     pub fn of_graph(g: &DiGraph) -> Self {
         let n = g.node_count();
-        let comps = g.sccs();
-        // Map node -> component index.
+        let (nodes, bounds) = g.scc_layout();
+        let comps: Vec<&[NodeId]> = bounds.windows(2).map(|w| &nodes[w[0]..w[1]]).collect();
         let mut comp_of = vec![0usize; n];
         for (ci, comp) in comps.iter().enumerate() {
-            for &v in comp {
+            for &v in *comp {
                 comp_of[v] = ci;
             }
         }
-        let c = comps.len();
-        // Condensation edges + whether a component is cyclic.
-        let mut cyclic = vec![false; c];
-        for (ci, comp) in comps.iter().enumerate() {
-            if comp.len() > 1 {
-                cyclic[ci] = true;
-            }
-        }
-        let mut cedges: Vec<(usize, usize)> = Vec::new();
-        for &(u, v) in g.edges() {
-            let (cu, cv) = (comp_of[u], comp_of[v]);
-            if cu == cv {
-                cyclic[cu] = true; // covers self-loops
-            } else {
-                cedges.push((cu, cv));
-            }
-        }
-        // Tarjan emits components in reverse topological order, i.e.
-        // comps[0] has no successors outside itself. Process in that order
-        // so successors' rows are complete before predecessors use them.
-        let mut crows: Vec<BitSet> = (0..c).map(|_| BitSet::new(c)).collect();
-        let mut csucc: Vec<Vec<usize>> = vec![Vec::new(); c];
-        for &(cu, cv) in &cedges {
-            csucc[cu].push(cv);
-        }
-        for ci in 0..c {
-            if cyclic[ci] {
-                crows[ci].insert(ci);
-            }
-            // Take the successor list instead of cloning it; each entry
-            // is visited exactly once.
-            let succs = std::mem::take(&mut csucc[ci]);
-            for cv in succs {
-                crows[ci].insert(cv);
-                let (head, tail) = crows.split_at_mut(ci.max(cv));
-                // Union the successor's row into ours without double borrow.
-                if cv < ci {
-                    tail[0].union_with(&head[cv]);
+        let empty = BitSet::new(n);
+        // Unallocated placeholders: each pass writes a component's slots
+        // before any later component reads them.
+        let mut rows: Vec<BitSet> = vec![BitSet::new(0); n];
+        let mut cols: Vec<BitSet> = vec![BitSet::new(0); n];
+        // One shared set per component: the union over the component's
+        // edges leaving it (rows) or entering it (cols), plus the whole
+        // component when it is cyclic (size > 1 or a self-loop).
+        let fill = |sets: &mut Vec<BitSet>, ci: usize, outward: bool| {
+            let comp = comps[ci];
+            let mut set = empty.clone();
+            let mut cyclic = comp.len() > 1;
+            for &u in comp {
+                let ends = if outward {
+                    g.out_edges(u)
                 } else {
-                    head[ci].union_with(&tail[0]);
+                    g.in_edges(u)
+                };
+                for &e in ends {
+                    let (a, b) = g.endpoints(e);
+                    let v = if outward { b } else { a };
+                    if comp_of[v] == ci {
+                        cyclic = true;
+                    } else {
+                        set.insert(v);
+                        set.union_with(&sets[v]);
+                    }
                 }
             }
+            if cyclic {
+                for &u in comp {
+                    set.insert(u);
+                }
+            }
+            for &u in &comp[1..] {
+                sets[u] = set.clone();
+            }
+            sets[comp[0]] = set;
+        };
+        for ci in 0..comps.len() {
+            fill(&mut rows, ci, true);
         }
-        // Expand component rows back to node rows, filling the transposed
-        // matrix in the same pass.
-        let mut rows: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        let mut cols: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for u in 0..n {
-            let cu = comp_of[u];
-            for cv in crows[cu].iter() {
-                for &v in &comps[cv] {
-                    rows[u].insert(v);
-                    cols[v].insert(u);
-                }
-            }
+        for ci in (0..comps.len()).rev() {
+            fill(&mut cols, ci, false);
         }
         TransitiveClosure { n, rows, cols }
     }

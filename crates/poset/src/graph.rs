@@ -201,6 +201,17 @@ impl DiGraph {
     /// condensation (standard Tarjan output order); every node appears in
     /// exactly one component.
     pub fn sccs(&self) -> Vec<Vec<NodeId>> {
+        let (nodes, bounds) = self.scc_layout();
+        bounds
+            .windows(2)
+            .map(|w| nodes[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
+    /// [`sccs`](Self::sccs) in flat form: `nodes` lists the nodes
+    /// component by component, in the same order, and component `i` is
+    /// `nodes[bounds[i]..bounds[i + 1]]`.
+    pub(crate) fn scc_layout(&self) -> (Vec<NodeId>, Vec<usize>) {
         const UNSET: usize = usize::MAX;
         let n = self.n;
         let mut index = vec![UNSET; n];
@@ -208,14 +219,16 @@ impl DiGraph {
         let mut on_stack = vec![false; n];
         let mut stack: Vec<NodeId> = Vec::new();
         let mut next_index = 0usize;
-        let mut comps: Vec<Vec<NodeId>> = Vec::new();
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(n);
+        let mut bounds: Vec<usize> = vec![0];
+        // Iterative Tarjan: call stack of (node, next successor pos).
+        let mut call: Vec<(NodeId, usize)> = Vec::new();
 
         for root in 0..n {
             if index[root] != UNSET {
                 continue;
             }
-            // Iterative Tarjan: call stack of (node, next successor pos).
-            let mut call: Vec<(NodeId, usize)> = vec![(root, 0)];
+            call.push((root, 0));
             index[root] = next_index;
             low[root] = next_index;
             next_index += 1;
@@ -243,21 +256,20 @@ impl DiGraph {
                         low[p] = low[p].min(low[u]);
                     }
                     if low[u] == index[u] {
-                        let mut comp = Vec::new();
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w] = false;
-                            comp.push(w);
+                            nodes.push(w);
                             if w == u {
                                 break;
                             }
                         }
-                        comps.push(comp);
+                        bounds.push(nodes.len());
                     }
                 }
             }
         }
-        comps
+        (nodes, bounds)
     }
 
     /// The subgraph induced by `keep`, with nodes renumbered densely.

@@ -17,7 +17,8 @@
 //! exact delivery event completing it.
 
 use crate::ast::{Constraint, EventTerm, ForbiddenPredicate, Var};
-use msgorder_runs::{MessageId, OrderView, UserEvent, UserEventKind, UserRun};
+use msgorder_poset::DiGraph;
+use msgorder_runs::{limit_sets, MessageId, OrderView, UserEvent, UserEventKind, UserRun};
 
 fn term_event(term: EventTerm, assignment: &[Option<MessageId>]) -> Option<UserEvent> {
     let msg = assignment[term.var.0]?;
@@ -106,6 +107,11 @@ pub struct Prepared<'p> {
     color_filters: Vec<Vec<(&'p str, bool)>>,
     /// Word-parallel narrowing plan for the last variable in `order`.
     last: Option<LastStep>,
+    /// Whether the variable graph (an edge `x → y` per conjunct
+    /// `x.h ▷ y.f` with `x ≠ y`) has a cycle. Such a predicate never
+    /// holds on an `X_sync` run (Theorem 1): an injective instantiation
+    /// maps the variable cycle onto a cycle of the run's message graph.
+    var_cycle: bool,
 }
 
 /// Candidate narrowing for the variable assigned last. With every other
@@ -187,12 +193,27 @@ impl<'p> Prepared<'p> {
             }
             LastStep { var: lv, narrowing }
         });
+        let mut var_graph = DiGraph::new(m);
+        for c in pred.conjuncts() {
+            if c.lhs.var != c.rhs.var {
+                var_graph
+                    .add_edge(c.lhs.var.0, c.rhs.var.0)
+                    .expect("conjunct variables are declared");
+            }
+        }
         Prepared {
             pred,
             order,
             color_filters,
             last,
+            var_cycle: var_graph.has_cycle(),
         }
+    }
+
+    /// Whether `run` provably has no instantiation without searching:
+    /// the variable graph is cyclic and the run is in `X_sync`.
+    fn ruled_out(&self, run: &UserRun) -> bool {
+        self.var_cycle && limit_sets::in_x_sync(run)
     }
 
     /// The run-dependent half of plan construction: candidate lists
@@ -225,6 +246,9 @@ impl<'p> Prepared<'p> {
 
     /// See [`find_instantiation`].
     pub fn find_instantiation(&self, run: &UserRun) -> Option<Vec<MessageId>> {
+        if self.ruled_out(run) {
+            return None;
+        }
         let candidates = self.candidates_for(run);
         let mut assignment = vec![None; self.pred.var_count()];
         let mut scratch = self.word_scratch(run, &candidates);
@@ -245,7 +269,7 @@ impl<'p> Prepared<'p> {
 
     /// See [`count_instantiations`].
     pub fn count_instantiations(&self, run: &UserRun, cap: usize) -> usize {
-        if cap == 0 {
+        if cap == 0 || self.ruled_out(run) {
             return 0;
         }
         let candidates = self.candidates_for(run);
@@ -1083,8 +1107,8 @@ mod tests {
 
     #[test]
     fn word_mask_leaf_matches_generic_search() {
-        use msgorder_runs::generator::{random_user_run, GenParams};
-        let preds = [
+        use msgorder_runs::generator::{random_sync_run, random_user_run, GenParams};
+        let mut preds = vec![
             ForbiddenPredicate::parse("forbid x, y: x.s < y.s & y.r < x.r").unwrap(),
             ForbiddenPredicate::parse(
                 "forbid x, y: x.s < y.s & y.r < x.r \
@@ -1098,8 +1122,13 @@ mod tests {
             ForbiddenPredicate::parse("forbid x, y: x.s < y.s & y.r < x.r where color(y) = red")
                 .unwrap(),
         ];
+        // Cyclic predicates short-circuit on X_sync runs (Theorem 1).
+        for name in ["sync-crown-3", "sync-crown-4"] {
+            preds.push(crate::catalog::by_name(name).unwrap().predicate);
+        }
         for seed in 0..40u64 {
-            let mut run = random_user_run(GenParams::new(3, 8, seed));
+            let params = GenParams::new(3, 8, seed);
+            let mut run = random_user_run(params);
             if seed % 2 == 0 && !run.is_empty() {
                 // Exercise the color-filtered candidate mask too.
                 let mut metas = run.messages().to_vec();
@@ -1107,21 +1136,41 @@ mod tests {
                 metas[pick].color = Some("red".into());
                 run = UserRun::new(metas, run.relation_pairs()).unwrap();
             }
-            for pred in &preds {
-                let prep = Prepared::new(pred);
-                let (want_first, want_count) = generic_reference(&prep, &run, usize::MAX);
-                assert_eq!(
-                    prep.find_instantiation(&run),
-                    want_first,
-                    "witness diverges on seed {seed} / {pred}"
-                );
-                assert_eq!(
-                    prep.count_instantiations(&run, usize::MAX),
-                    want_count,
-                    "count diverges on seed {seed} / {pred}"
-                );
+            // Logically synchronous runs: every message a contiguous
+            // block, the runs the sync protocol produces.
+            for run in [run, random_sync_run(params)] {
+                for pred in &preds {
+                    let prep = Prepared::new(pred);
+                    let (want_first, want_count) = generic_reference(&prep, &run, usize::MAX);
+                    assert_eq!(
+                        prep.find_instantiation(&run),
+                        want_first,
+                        "witness diverges on seed {seed} / {pred}"
+                    );
+                    assert_eq!(
+                        prep.count_instantiations(&run, usize::MAX),
+                        want_count,
+                        "count diverges on seed {seed} / {pred}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn cyclic_predicates_short_circuit_only_on_sync_runs() {
+        use msgorder_runs::generator::{random_sync_run, random_user_run, GenParams};
+        let crown = crate::catalog::by_name("sync-crown-3").unwrap().predicate;
+        assert!(Prepared::new(&crown).var_cycle);
+        assert!(
+            !Prepared::new(&ForbiddenPredicate::parse("forbid x, y: x.s < y.r").unwrap()).var_cycle
+        );
+        let sync = random_sync_run(GenParams::new(3, 8, 1));
+        assert!(Prepared::new(&crown).ruled_out(&sync));
+        // A crossing run is not in X_sync, so the search still runs.
+        let crossing = random_user_run(GenParams::new(3, 12, 4));
+        assert!(!limit_sets::in_x_sync(&crossing));
+        assert!(!Prepared::new(&crown).ruled_out(&crossing));
     }
 
     #[test]

@@ -43,6 +43,14 @@ pub enum RunError {
     SendDeliverOrder(MessageId),
     /// A user run's order relation is cyclic.
     CyclicOrder,
+    /// A user run's message ids are not `0..|M|` in order: the message
+    /// at `index` carries `id`.
+    NonDenseMessageId {
+        /// Position of the message in the run.
+        index: usize,
+        /// The id it carries instead of `index`.
+        id: MessageId,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -69,6 +77,12 @@ impl fmt::Display for RunError {
                 write!(f, "message {m} lacks s ▷ r or has r ▷ s in the user view")
             }
             RunError::CyclicOrder => write!(f, "user-view order relation is cyclic"),
+            RunError::NonDenseMessageId { index, id } => {
+                write!(
+                    f,
+                    "message at position {index} has id {id}; ids must be dense"
+                )
+            }
         }
     }
 }

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chain_clock;
 pub mod construct;
 pub mod cuts;
 pub mod display;

@@ -7,7 +7,8 @@
 //! are the runs every live tagless / tagged / general protocol must admit
 //! (Lemma 2).
 
-use crate::ids::{EventKind, MessageId, ProcessId, UserEvent};
+use crate::chain_clock::topological_order;
+use crate::ids::{EventKind, MessageId, ProcessId, UserEvent, UserEventKind};
 use crate::system::SystemRun;
 use crate::users_view::UserRun;
 use msgorder_poset::DiGraph;
@@ -21,35 +22,101 @@ pub fn in_x_async(_run: &UserRun) -> bool {
 
 /// Membership in `X_co` (causal ordering):
 /// `∀x, y ∈ M : ¬((x.s ▷ y.s) ∧ (y.r ▷ x.r))`.
+///
+/// `O(|M| · w)` for a run covered by `w` chains (see [`co_violation`]).
 pub fn in_x_co(run: &UserRun) -> bool {
-    co_violation(run).is_none()
+    first_co_violator(run).is_none()
 }
 
 /// The first causal-ordering violation `(x, y)` with
-/// `x.s ▷ y.s ∧ y.r ▷ x.r`, if any.
+/// `x.s ▷ y.s ∧ y.r ▷ x.r`, if any: the smallest such `x`, then the
+/// smallest `y` for it.
+///
+/// Fixing `x`, the deliveries in `x.r`'s strict past form a prefix of
+/// every chain, so a per-chain prefix maximum of the deliveries'
+/// send-clocks answers "does some such `y.s` lie above `x.s`?" in one
+/// lookup per chain. Only the violating `x` found that way is scanned
+/// for its `y`.
 pub fn co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {
-    let m = run.len();
-    for x in 0..m {
-        for y in 0..m {
-            if x == y {
-                continue;
+    let x = first_co_violator(run)?;
+    let y = (0..run.len()).map(MessageId).find(|&y| {
+        run.before(UserEvent::send(x), UserEvent::send(y))
+            && run.before(UserEvent::deliver(y), UserEvent::deliver(x))
+    })?;
+    Some((x, y))
+}
+
+/// The smallest `x` with some `y` such that `x.s ▷ y.s ∧ y.r ▷ x.r`.
+fn first_co_violator(run: &UserRun) -> Option<MessageId> {
+    let index = run.index();
+    let w = index.width();
+    // best[v * w + d]: over the deliveries y.r at or before node v on
+    // v's chain, the largest chain-d entry of y.s's clock.
+    let mut best = vec![0u32; 2 * run.len() * w];
+    for c in 0..w {
+        let mut acc = vec![0u32; w];
+        for &v in index.chain_nodes(c) {
+            let v = v as usize;
+            let ev = UserEvent::from_node(v);
+            if ev.kind == UserEventKind::Deliver {
+                let send = index.clock(UserEvent::send(ev.msg).node());
+                for (a, &k) in acc.iter_mut().zip(send) {
+                    *a = (*a).max(k);
+                }
             }
-            let (x, y) = (MessageId(x), MessageId(y));
-            if run.before(UserEvent::send(x), UserEvent::send(y))
-                && run.before(UserEvent::deliver(y), UserEvent::deliver(x))
-            {
-                return Some((x, y));
-            }
+            best[v * w..(v + 1) * w].copy_from_slice(&acc);
         }
     }
-    None
+    (0..run.len()).map(MessageId).find(|&x| {
+        let (xs_chain, xs_pos) = index.chain_pos(UserEvent::send(x).node());
+        let xr = UserEvent::deliver(x).node();
+        // Only deliveries strictly below x.r count, which rules out y = x.
+        (0..w).any(|c| {
+            index
+                .last_below(xr, c)
+                .is_some_and(|v| best[v * w + xs_chain] as usize > xs_pos)
+        })
+    })
+}
+
+/// The successors of message `x` in the message graph contracted along
+/// the generating edges of `▷`: an edge `x → y` for every generating
+/// edge from an event of `x` to an event of `y ≠ x`.
+///
+/// It has the reachability of the full message-precedence graph (`x → y`
+/// whenever some event of `x` precedes some event of `y`): each of its
+/// edges is such a pair, and every `▷`-path between two messages' events
+/// crosses from message to message along generating edges. So it has the
+/// same cycles-or-not and the same min-heap topological order, with
+/// `O(|M| · w)` edges for a projected run instead of `Θ(|M|²)` pairs.
+fn message_successors(run: &UserRun, x: usize) -> impl Iterator<Item = usize> + '_ {
+    let (s, r) = (
+        UserEvent::send(MessageId(x)),
+        UserEvent::deliver(MessageId(x)),
+    );
+    run.successors(s.node())
+        .chain(run.successors(r.node()))
+        .map(|v| UserEvent::from_node(v).msg.0)
+        .filter(move |&y| y != x)
+}
+
+/// The contracted message graph of [`message_successors`], for its
+/// min-heap order and its cycles.
+fn contracted_message_graph(run: &UserRun) -> DiGraph {
+    let mut g = DiGraph::new(run.len());
+    for x in 0..run.len() {
+        for y in message_successors(run, x) {
+            g.add_edge(x, y).expect("message nodes in range");
+        }
+    }
+    g
 }
 
 /// Membership in `X_sync` (logically synchronous ordering): the message
 /// precedence digraph is acyclic, equivalently a numbering
 /// `T : M → N` with `x.h ▷ y.f ⇒ T(x) < T(y)` exists.
 pub fn in_x_sync(run: &UserRun) -> bool {
-    !run.message_graph().has_cycle()
+    topological_order(run.len(), |x| message_successors(run, x)).is_some()
 }
 
 /// The numbering `T` witnessing logical synchrony (one slot per message,
@@ -57,7 +124,7 @@ pub fn in_x_sync(run: &UserRun) -> bool {
 ///
 /// Ties are broken by message id, so the result is deterministic.
 pub fn sync_numbering(run: &UserRun) -> Option<Vec<usize>> {
-    let order = run.message_graph().topo_sort().ok()?;
+    let order = contracted_message_graph(run).topo_sort().ok()?;
     let mut t = vec![0usize; run.len()];
     for (slot, msg) in order.into_iter().enumerate() {
         t[msg] = slot;
@@ -69,8 +136,12 @@ pub fn sync_numbering(run: &UserRun) -> Option<Vec<usize>> {
 /// `x_1.s ▷ x_2.r, x_2.s ▷ x_3.r, ..., x_k.s ▷ x_1.r` — the forbidden
 /// pattern in the paper's definition of `X_sync`. Returns `None` for
 /// synchronous runs.
+///
+/// Any cycle of the message graph is a crown: an edge `x → y` means some
+/// event of `x` precedes some event of `y`, and `x.s` is at or below
+/// every event of `x` while `y.r` is at or above every event of `y`.
 pub fn sync_violation(run: &UserRun) -> Option<Vec<MessageId>> {
-    run.message_graph()
+    contracted_message_graph(run)
         .find_cycle()
         .map(|cycle| cycle.into_iter().map(MessageId).collect())
 }

@@ -1,11 +1,13 @@
 //! The user's view: complete runs `(H, ▷)` (§3.3).
 
+use crate::chain_clock::{topological_order, Adjacency, ChainClock};
 use crate::error::RunError;
-use crate::ids::{MessageId, UserEvent, UserEventKind};
+use crate::ids::{EventKind, MessageId, SystemEvent, UserEvent, UserEventKind};
 use crate::message::MessageMeta;
-use msgorder_poset::{DiGraph, TransitiveClosure};
+use msgorder_poset::TransitiveClosure;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A complete run in the user's view: a set of messages, each with a send
 /// and a delivery event, under a strict partial order `▷`.
@@ -20,10 +22,36 @@ use std::fmt;
 /// Beyond the paper's two written conditions we require `x.s ▷ x.r` for
 /// every message ([`UserRun::new`] adds those edges itself), which every
 /// construction in the paper also assumes.
+///
+/// `▷` is indexed by a *chain clock*: the events are covered by `w`
+/// chains (totally ordered subsets) and every event stores, per chain,
+/// how many of that chain's events lie at or below it. `a ▷ b` is then
+/// one lookup. For a projected run the chains are the process
+/// sequences, so `w` is the number of processes and construction is
+/// `O(|M| · w)`; the covering relation (for [`render`](UserRun::render)
+/// and snapshots) comes from the same index. The bitset
+/// [`closure`](UserRun::closure) is built lazily, only for the
+/// evaluator's word-parallel step and [`relation_pairs`](UserRun::relation_pairs).
 #[derive(Debug, Clone)]
 pub struct UserRun {
     messages: Vec<MessageMeta>,
-    closure: TransitiveClosure,
+    /// The generating edges of `▷` over event nodes, `x.s → x.r`
+    /// included, as successor lists.
+    succ: Adjacency,
+    /// The chain-clock index of `▷` over event nodes.
+    index: ChainClock,
+    /// The bitset closure of `▷`, built on first use.
+    closure: OnceLock<TransitiveClosure>,
+}
+
+/// The process an event node occurs at: a send at its source, a
+/// delivery at its destination.
+fn process_of(messages: &[MessageMeta], node: usize) -> usize {
+    let meta = &messages[node / 2];
+    match UserEvent::from_node(node).kind {
+        UserEventKind::Send => meta.src.0,
+        UserEventKind::Deliver => meta.dst.0,
+    }
 }
 
 impl UserRun {
@@ -33,6 +61,7 @@ impl UserRun {
     /// any additional pairs. The relation is closed transitively.
     ///
     /// # Errors
+    /// [`RunError::NonDenseMessageId`] if `messages[i].id != i`;
     /// [`RunError::CyclicOrder`] if the relation is cyclic;
     /// [`RunError::UnknownMessage`] if a pair references a message id
     /// `>= messages.len()`.
@@ -41,32 +70,76 @@ impl UserRun {
         I: IntoIterator<Item = (UserEvent, UserEvent)>,
     {
         let m = messages.len();
-        for (i, meta) in messages.iter().enumerate() {
-            debug_assert_eq!(meta.id.0, i, "message ids must be dense");
+        if let Some((index, meta)) = messages
+            .iter()
+            .enumerate()
+            .find(|(i, meta)| meta.id.0 != *i)
+        {
+            return Err(RunError::NonDenseMessageId { index, id: meta.id });
         }
-        let mut g = DiGraph::new(2 * m);
-        for mi in 0..m {
-            g.add_edge(
-                UserEvent::send(MessageId(mi)).node(),
-                UserEvent::deliver(MessageId(mi)).node(),
-            )
-            .expect("nodes in range");
-        }
+        let mut edges: Vec<(usize, usize)> = (0..m)
+            .map(|mi| {
+                (
+                    UserEvent::send(MessageId(mi)).node(),
+                    UserEvent::deliver(MessageId(mi)).node(),
+                )
+            })
+            .collect();
         for (a, b) in order {
             for e in [a, b] {
                 if e.msg.0 >= m {
                     return Err(RunError::UnknownMessage(e.msg));
                 }
             }
-            g.add_edge(a.node(), b.node()).expect("checked above");
+            edges.push((a.node(), b.node()));
         }
-        if g.has_cycle() {
-            return Err(RunError::CyclicOrder);
-        }
+        let succ = Adjacency::new(2 * m, edges.iter().copied());
+        let topo = topological_order(2 * m, |u| succ.of(u)).ok_or(RunError::CyclicOrder)?;
+        let preds = Adjacency::new(2 * m, edges.iter().map(|&(u, v)| (v, u)));
+        let index = ChainClock::new(&preds, &topo, |v| process_of(&messages, v));
         Ok(UserRun {
             messages,
-            closure: TransitiveClosure::of_graph(&g),
+            succ,
+            index,
+            closure: OnceLock::new(),
         })
+    }
+
+    /// The user's view (§3.3) of a system run given by its messages and
+    /// process sequences: the messages with `complete(i)`, renumbered
+    /// densely in id order, ordered by process order among their sends
+    /// and deliveries (plus `x.s ▷ x.r`, which [`new`](Self::new) adds).
+    pub(crate) fn project(
+        messages: &[MessageMeta],
+        seqs: &[Vec<SystemEvent>],
+        complete: impl Fn(usize) -> bool,
+    ) -> UserRun {
+        let mut remap: Vec<Option<MessageId>> = vec![None; messages.len()];
+        let mut metas: Vec<MessageMeta> = Vec::new();
+        for (mi, meta) in messages.iter().enumerate() {
+            if complete(mi) {
+                let new_id = MessageId(metas.len());
+                remap[mi] = Some(new_id);
+                metas.push(MessageMeta {
+                    id: new_id,
+                    ..meta.clone()
+                });
+            }
+        }
+        let user_event = |ev: &SystemEvent| {
+            let new = remap[ev.msg.0]?;
+            match ev.kind {
+                EventKind::Send => Some(UserEvent::send(new)),
+                EventKind::Deliver => Some(UserEvent::deliver(new)),
+                _ => None,
+            }
+        };
+        let process_order = seqs.iter().flat_map(|seq| {
+            let mut events = seq.iter().filter_map(user_event);
+            let mut prev = events.next();
+            events.map(move |ev| (prev.replace(ev).expect("set before"), ev))
+        });
+        UserRun::new(metas, process_order).expect("projection of a valid run is a valid user run")
     }
 
     /// The messages of the run.
@@ -92,17 +165,27 @@ impl UserRun {
         self.messages.is_empty()
     }
 
-    /// The strict order `a ▷ b`.
+    /// The strict order `a ▷ b`: `a ≠ b` and `b`'s clock counts `a`'s
+    /// chain up to and including `a`.
+    ///
+    /// # Panics
+    /// Panics if either event's message is not in the run.
     pub fn before(&self, a: UserEvent, b: UserEvent) -> bool {
-        self.closure.reaches(a.node(), b.node())
+        self.index.before(a.node(), b.node())
     }
 
     /// The transitive closure of `▷` over event nodes (indexed by
-    /// [`UserEvent::node`]). Batch evaluators use its row/column bitsets
-    /// for word-parallel candidate narrowing instead of per-pair
-    /// [`before`](Self::before) queries.
+    /// [`UserEvent::node`]), built on first call. Batch evaluators use
+    /// its row/column bitsets for word-parallel candidate narrowing
+    /// instead of per-pair [`before`](Self::before) queries.
     pub fn closure(&self) -> &TransitiveClosure {
-        &self.closure
+        self.closure.get_or_init(|| {
+            let n = 2 * self.len();
+            TransitiveClosure::from_pairs(
+                n,
+                (0..n).flat_map(|u| self.succ.of(u).map(move |v| (u, v))),
+            )
+        })
     }
 
     /// Whether two events are concurrent (distinct and incomparable).
@@ -112,51 +195,22 @@ impl UserRun {
 
     /// All ordered event pairs `(a, b)` with `a ▷ b`.
     pub fn relation_pairs(&self) -> Vec<(UserEvent, UserEvent)> {
-        self.closure
+        self.closure()
             .pairs()
             .into_iter()
             .map(|(u, v)| (UserEvent::from_node(u), UserEvent::from_node(v)))
             .collect()
     }
 
-    /// The message-precedence digraph used by the SYNC test: an edge
-    /// `x → y` (for `x ≠ y`) whenever some event of `x` precedes some
-    /// event of `y` under `▷`.
-    ///
-    /// The run is logically synchronous iff this graph is acyclic (§3.4:
-    /// acyclicity is exactly the existence of the numbering `T`).
-    pub fn message_graph(&self) -> DiGraph {
-        let m = self.messages.len();
-        let mut g = DiGraph::new(m);
-        for x in 0..m {
-            for y in 0..m {
-                if x == y {
-                    continue;
-                }
-                let related = [UserEventKind::Send, UserEventKind::Deliver]
-                    .into_iter()
-                    .any(|h| {
-                        [UserEventKind::Send, UserEventKind::Deliver]
-                            .into_iter()
-                            .any(|f| {
-                                self.before(
-                                    UserEvent {
-                                        msg: MessageId(x),
-                                        kind: h,
-                                    },
-                                    UserEvent {
-                                        msg: MessageId(y),
-                                        kind: f,
-                                    },
-                                )
-                            })
-                    });
-                if related {
-                    g.add_edge(x, y).expect("message nodes in range");
-                }
-            }
-        }
-        g
+    /// The successors of event node `u` along the generating edges of
+    /// `▷`: every `x.s → x.r` plus the pairs given to [`new`](Self::new).
+    pub(crate) fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.succ.of(u)
+    }
+
+    /// The chain-clock index of `▷` over event nodes.
+    pub(crate) fn index(&self) -> &ChainClock {
+        &self.index
     }
 
     /// A compact multi-line rendering, one message per line plus the
@@ -167,7 +221,7 @@ impl UserRun {
             out.push_str(&format!("{m}\n"));
         }
         out.push_str("order (covers):\n");
-        for (u, v) in self.closure.reduction() {
+        for (u, v) in self.index.covers() {
             out.push_str(&format!(
                 "  {} ▷ {}\n",
                 UserEvent::from_node(u),
@@ -221,7 +275,7 @@ impl From<&UserRun> for UserRunSnapshot {
     fn from(run: &UserRun) -> Self {
         UserRunSnapshot {
             messages: run.messages.clone(),
-            covers: run.closure.reduction(),
+            covers: run.index.covers(),
         }
     }
 }
@@ -309,36 +363,58 @@ mod tests {
     }
 
     #[test]
-    fn message_graph_chain() {
-        // s0 ▷ s1 makes an edge m0 -> m1 (and r0 related? r0 vs m1: no).
+    fn process_chains_cover_a_projected_run() {
+        // m0: P0 -> P1, then m1: P1 -> P2 after m0's delivery.
+        let metas = vec![
+            MessageMeta::new(MessageId(0), ProcessId(0), ProcessId(1)),
+            MessageMeta::new(MessageId(1), ProcessId(1), ProcessId(2)),
+        ];
         let run = UserRun::new(
-            meta(2),
-            [(UserEvent::send(MessageId(0)), UserEvent::send(MessageId(1)))],
+            metas,
+            [(
+                UserEvent::deliver(MessageId(0)),
+                UserEvent::send(MessageId(1)),
+            )],
         )
         .unwrap();
-        let g = run.message_graph();
-        assert!(g.successors(0).any(|v| v == 1));
-        assert!(!g.has_cycle());
+        assert_eq!(run.index().width(), 3, "one chain per process");
+        assert!(run.before(
+            UserEvent::send(MessageId(0)),
+            UserEvent::deliver(MessageId(1))
+        ));
+        assert!(!run.before(
+            UserEvent::deliver(MessageId(1)),
+            UserEvent::send(MessageId(0))
+        ));
     }
 
     #[test]
-    fn message_graph_cycle_for_crossing_pair() {
-        // s0 ▷ r1 and s1 ▷ r0: the classic crown, not logically synchronous.
-        let run = UserRun::new(
-            meta(2),
-            [
-                (
-                    UserEvent::send(MessageId(0)),
-                    UserEvent::deliver(MessageId(1)),
-                ),
-                (
-                    UserEvent::send(MessageId(1)),
-                    UserEvent::deliver(MessageId(0)),
-                ),
-            ],
-        )
-        .unwrap();
-        assert!(run.message_graph().has_cycle());
+    fn large_process_ids_need_no_dense_table() {
+        let far = ProcessId(usize::MAX / 4);
+        let run =
+            UserRun::new(vec![MessageMeta::new(MessageId(0), far, ProcessId(0))], []).unwrap();
+        assert!(run.before(
+            UserEvent::send(MessageId(0)),
+            UserEvent::deliver(MessageId(0))
+        ));
+    }
+
+    #[test]
+    fn non_dense_message_ids_rejected() {
+        for ids in [[1, 0], [0, 2]] {
+            let snap = UserRunSnapshot {
+                messages: ids
+                    .iter()
+                    .map(|&i| MessageMeta::new(MessageId(i), ProcessId(0), ProcessId(1)))
+                    .collect(),
+                covers: vec![],
+            };
+            let err = UserRun::try_from(snap).unwrap_err();
+            assert!(
+                matches!(err, RunError::NonDenseMessageId { .. }),
+                "ids {ids:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -372,6 +448,6 @@ mod tests {
         let run = UserRun::new(vec![], []).unwrap();
         assert!(run.is_empty());
         assert!(run.relation_pairs().is_empty());
-        assert!(!run.message_graph().has_cycle());
+        assert!(crate::limit_sets::in_x_sync(&run));
     }
 }

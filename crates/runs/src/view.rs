@@ -5,7 +5,7 @@
 //! a run: *does user event `a` precede user event `b` under `▷`?* and
 //! *what are message `m`'s endpoints and color?* Abstracting those
 //! queries lets the same evaluation core run post-hoc against a
-//! [`UserRun`](crate::UserRun) (bitset transitive closure) and online
+//! [`UserRun`](crate::UserRun) (chain clocks) and online
 //! against a [`StreamingRun`](crate::StreamingRun) (vector clocks on the
 //! live prefix) without materializing the full poset.
 
