@@ -958,10 +958,14 @@ fn exp_s1() -> Value {
 /// counterexample schedule exhibited.
 fn exp_m1() -> Value {
     use msgorder_protocols::{AsyncProtocol, CausalRst, FifoProtocol, SyncProtocol};
-    use msgorder_simnet::{explore_parallel, SendSpec};
+    use msgorder_simnet::{explore_parallel_with, ExploreOptions, SendSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     println!("Exhaustive exploration (all frame orderings) of small configurations.\n");
-    let threads = engine().threads();
+    let opts = ExploreOptions {
+        cap: 1 << 20,
+        threads: engine().threads(),
+        ..ExploreOptions::default()
+    };
     let same3 = Workload {
         sends: (0..3)
             .map(|i| SendSpec {
@@ -1040,25 +1044,18 @@ fn exp_m1() -> Value {
         );
     };
 
-    // The explorer fans its top-level branches across worker threads;
+    // The explorer spreads its schedules across worker threads;
     // the visitors fold into atomics since they run concurrently.
     let mut all_ok = true;
     {
         let ok = AtomicBool::new(true);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel(
-            2,
-            same3.clone(),
-            |_| FifoProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
-                if !(run.is_quiescent() && prep.satisfies_spec(&run.users_view())) {
-                    ok.store(false, Ordering::Relaxed);
-                }
-                true
-            },
-        );
+        let e = explore_parallel_with(2, same3.clone(), |_| FifoProtocol::new(), &opts, &|run| {
+            if !(run.is_quiescent() && prep.satisfies_spec(&run.users_view())) {
+                ok.store(false, Ordering::Relaxed);
+            }
+            true
+        });
         let ok = ok.into_inner();
         check(
             "3 msgs, one channel",
@@ -1074,19 +1071,12 @@ fn exp_m1() -> Value {
     {
         let violated = AtomicBool::new(false);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel(
-            2,
-            same3,
-            |_| AsyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
-                if !prep.satisfies_spec(&run.users_view()) {
-                    violated.store(true, Ordering::Relaxed);
-                }
-                true
-            },
-        );
+        let e = explore_parallel_with(2, same3, |_| AsyncProtocol::new(), &opts, &|run| {
+            if !prep.satisfies_spec(&run.users_view()) {
+                violated.store(true, Ordering::Relaxed);
+            }
+            true
+        });
         let violated = violated.into_inner();
         check(
             "3 msgs, one channel",
@@ -1101,19 +1091,12 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel(
-            3,
-            triangle.clone(),
-            |_| CausalRst::new(3),
-            threads,
-            1 << 20,
-            |run| {
-                if !(run.is_quiescent() && limit_sets::in_x_co(&run.users_view())) {
-                    ok.store(false, Ordering::Relaxed);
-                }
-                true
-            },
-        );
+        let e = explore_parallel_with(3, triangle.clone(), |_| CausalRst::new(3), &opts, &|run| {
+            if !(run.is_quiescent() && limit_sets::in_x_co(&run.users_view())) {
+                ok.store(false, Ordering::Relaxed);
+            }
+            true
+        });
         let ok = ok.into_inner();
         check(
             "causal triangle",
@@ -1128,19 +1111,12 @@ fn exp_m1() -> Value {
     }
     {
         let violated = AtomicBool::new(false);
-        let e = explore_parallel(
-            3,
-            triangle,
-            |_| AsyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
-                if !limit_sets::in_x_co(&run.users_view()) {
-                    violated.store(true, Ordering::Relaxed);
-                }
-                true
-            },
-        );
+        let e = explore_parallel_with(3, triangle, |_| AsyncProtocol::new(), &opts, &|run| {
+            if !limit_sets::in_x_co(&run.users_view()) {
+                violated.store(true, Ordering::Relaxed);
+            }
+            true
+        });
         let violated = violated.into_inner();
         check(
             "causal triangle",
@@ -1155,19 +1131,12 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel(
-            2,
-            crossing,
-            |_| SyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
-                if !(run.is_quiescent() && limit_sets::in_x_sync(&run.users_view())) {
-                    ok.store(false, Ordering::Relaxed);
-                }
-                true
-            },
-        );
+        let e = explore_parallel_with(2, crossing, |_| SyncProtocol::new(), &opts, &|run| {
+            if !(run.is_quiescent() && limit_sets::in_x_sync(&run.users_view())) {
+                ok.store(false, Ordering::Relaxed);
+            }
+            true
+        });
         let ok = ok.into_inner();
         check(
             "crossing pair",
@@ -1466,12 +1435,12 @@ fn exp_tr1() -> Value {
     let with_metrics = time_sweep(&|msgs, seed| {
         let w = Workload::uniform_random(n, msgs, seed);
         let mut obs = msgorder_trace::metrics::MetricsObserver::new();
-        let r = Simulation::new(config(seed), w, |_| {
+        Simulation::new(config(seed), w, |_| {
             msgorder_protocols::AsyncProtocol::new()
         })
         .run_streaming(&mut obs)
         .expect("async has no protocol bugs");
-        let m = obs.finish(&r.stats);
+        let m = obs.finish();
         assert!(m.deliveries > 0);
     });
 

@@ -22,7 +22,7 @@ use msgorder_bench::snapshot::{budget_ms, causal_corpus, cores, measure, write_r
 use msgorder_poset::{DiGraph, TransitiveClosure};
 use msgorder_predicate::catalog;
 use msgorder_protocols::FifoProtocol;
-use msgorder_simnet::{explore, explore_dedup, explore_parallel, SendSpec, Workload};
+use msgorder_simnet::{explore_parallel_with, DedupMode, ExploreOptions, SendSpec, Workload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde_json::json;
 
@@ -87,28 +87,29 @@ fn main() {
             })
             .collect(),
     };
-    let cap = 1usize << 20;
-    let (seq_iters, seq_secs) = measure(budget_ms, || {
-        explore(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules
-    });
-    let seq_schedules =
-        explore(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules;
-    let (dd_iters, dd_secs) = measure(budget_ms, || {
-        explore_dedup(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules
-    });
-    let dedup_schedules =
-        explore_dedup(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules;
-    let (par_iters, par_secs) = measure(budget_ms, || {
-        explore_parallel(
-            2,
-            workload.clone(),
-            |_| FifoProtocol::new(),
-            4,
-            cap,
-            |_| true,
-        )
+    let seq = ExploreOptions {
+        cap: 1 << 20,
+        ..ExploreOptions::default()
+    };
+    let dedup = ExploreOptions {
+        dedup: DedupMode::Exact,
+        ..seq.clone()
+    };
+    let par = ExploreOptions {
+        threads: 4,
+        ..seq.clone()
+    };
+    let schedules = |opts: &ExploreOptions| {
+        explore_parallel_with(2, workload.clone(), |_| FifoProtocol::new(), opts, &|_| {
+            true
+        })
         .schedules
-    });
+    };
+    let (seq_iters, seq_secs) = measure(budget_ms, || schedules(&seq));
+    let seq_schedules = schedules(&seq);
+    let (dd_iters, dd_secs) = measure(budget_ms, || schedules(&dedup));
+    let dedup_schedules = schedules(&dedup);
+    let (par_iters, par_secs) = measure(budget_ms, || schedules(&par));
     let seq_sps = (seq_iters * seq_schedules) as f64 / seq_secs;
     let dd_sps = (dd_iters * dedup_schedules) as f64 / dd_secs;
     let par_sps = (par_iters * seq_schedules) as f64 / par_secs;

@@ -31,7 +31,7 @@ use msgorder_bench::snapshot::{
 };
 use msgorder_predicate::catalog;
 use msgorder_protocols::FifoProtocol;
-use msgorder_simnet::{explore, ExploreOptions, SendSpec, Workload};
+use msgorder_simnet::{explore_parallel_with, ExploreOptions, SendSpec, Workload};
 use serde_json::json;
 
 /// Baseline eval_batch runs/sec at threads=1 (pre-pass commit,
@@ -100,12 +100,18 @@ fn main() {
             })
             .collect(),
     };
-    let cap = 1usize << 20;
-    let seq_schedules =
-        explore(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules;
-    let (seq_iters, seq_secs) = measure(budget_ms, || {
-        explore(2, workload.clone(), |_| FifoProtocol::new(), cap, |_| true).schedules
-    });
+    let seq = ExploreOptions {
+        cap: 1 << 20,
+        ..ExploreOptions::default()
+    };
+    let schedules = || {
+        explore_parallel_with(2, workload.clone(), |_| FifoProtocol::new(), &seq, &|_| {
+            true
+        })
+        .schedules
+    };
+    let seq_schedules = schedules();
+    let (seq_iters, seq_secs) = measure(budget_ms, schedules);
     let seq_sps = (seq_iters * seq_schedules) as f64 / seq_secs;
     let seq_speedup = seq_sps / BEFORE_EXPLORE_SEQ_SPS;
     println!(

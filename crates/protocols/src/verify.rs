@@ -259,7 +259,7 @@ pub struct ExhaustiveOutcome {
 
 /// Model-checks `factory`'s protocol against `spec` over **all**
 /// schedules of `workload`, riding the explorer configured by `opts`
-/// (sleep-set reduction, deduplication, caps).
+/// (sleep-set reduction, deduplication, caps, worker threads).
 ///
 /// The online monitor condemns every violating prefix, so the whole
 /// sub-tree below a violation is pruned rather than enumerated;
@@ -276,7 +276,7 @@ pub fn verify_exhaustive<P>(
     opts: &ExploreOptions,
 ) -> ExhaustiveOutcome
 where
-    P: Protocol + Clone + Hash,
+    P: Protocol + Clone + Hash + Send,
 {
     let exploration = explore_monitored_with(
         processes,
@@ -284,7 +284,7 @@ where
         factory,
         OnlineMonitor::halting(spec),
         opts,
-        &mut |_| true,
+        &|_| true,
     );
     ExhaustiveOutcome {
         safe: exploration.pruned == 0 && exploration.error.is_none(),
@@ -297,7 +297,8 @@ mod tests {
     use super::*;
     use crate::{AsyncProtocol, CausalRst, FifoProtocol, ProtocolKind};
     use msgorder_predicate::catalog;
-    use msgorder_simnet::{explore_monitored, FaultModel, LatencyModel};
+    use msgorder_simnet::{explore_parallel_with, FaultModel, LatencyModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn config(processes: usize, seed: u64) -> SimConfig {
         SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 900 }, seed)
@@ -523,34 +524,30 @@ mod tests {
         let w = Workload {
             sends: vec![send(0), send(1)],
         };
-        let mut plain_total = 0usize;
-        let plain = msgorder_simnet::explore(
-            2,
-            w.clone(),
-            |_| AsyncProtocol::new(),
-            10_000,
-            |_| {
-                plain_total += 1;
-                true
-            },
-        );
+        let opts = ExploreOptions {
+            cap: 10_000,
+            ..ExploreOptions::default()
+        };
+        let plain = explore_parallel_with(2, w.clone(), |_| AsyncProtocol::new(), &opts, &|_| true);
         assert!(plain.error.is_none());
-        let mut surviving = 0usize;
-        let monitored = explore_monitored(
+        let plain_total = plain.schedules;
+        let surviving = AtomicUsize::new(0);
+        let monitored = explore_monitored_with(
             2,
             w,
             |_| AsyncProtocol::new(),
             OnlineMonitor::new(&spec),
-            10_000,
-            |run| {
+            &opts,
+            &|run| {
                 assert!(
                     eval::find_instantiation(&spec, &run.users_view()).is_none(),
                     "a surviving schedule violates FIFO"
                 );
-                surviving += 1;
+                surviving.fetch_add(1, Ordering::Relaxed);
                 true
             },
         );
+        let surviving = surviving.into_inner();
         assert!(monitored.error.is_none());
         assert!(monitored.pruned > 0, "reordered schedules must be pruned");
         assert_eq!(monitored.schedules, surviving);
@@ -601,8 +598,8 @@ mod tests {
     }
 
     /// Async vs FIFO: some schedule reorders a channel, and the
-    /// exhaustive verdict is identical with and without reduction and
-    /// deduplication.
+    /// exhaustive verdict is identical with and without reduction,
+    /// deduplication and worker threads.
     #[test]
     fn exhaustive_verdict_stable_across_reduction_and_dedup() {
         use msgorder_simnet::DedupMode;
@@ -624,6 +621,17 @@ mod tests {
             },
             ExploreOptions {
                 por: true,
+                dedup: DedupMode::Exact,
+                ..ExploreOptions::default()
+            },
+            ExploreOptions {
+                por: true,
+                threads: 2,
+                ..ExploreOptions::default()
+            },
+            ExploreOptions {
+                por: true,
+                threads: 2,
                 dedup: DedupMode::Exact,
                 ..ExploreOptions::default()
             },

@@ -8,10 +8,12 @@
 //! world at each branch. Every complete schedule's captured run is
 //! handed to the visitor, which typically checks a specification.
 //!
-//! Three layers keep the search tractable beyond toy workloads (all
-//! opt-in through [`ExploreOptions`]; the classic entry points
-//! [`explore`], [`explore_monitored`], [`explore_dedup`] and
-//! [`explore_parallel`] keep their original semantics):
+//! Two entry points share one engine: [`explore_parallel_with`] visits
+//! every complete run, and [`explore_monitored_with`] additionally
+//! prunes the prefixes a [`PrefixMonitor`] condemns. Both honour every
+//! [`ExploreOptions`] field, `threads` included. Three layers keep the
+//! search tractable beyond toy workloads (all opt-in through
+//! [`ExploreOptions`]):
 //!
 //! 1. **Sleep-set partial-order reduction** ([`ExploreOptions::por`]).
 //!    Two enabled events *commute* iff they dispatch at different
@@ -65,7 +67,7 @@ pub struct Exploration {
     /// stopped the search early.
     pub truncated: bool,
     /// Prefixes condemned by the [`PrefixMonitor`] (and therefore never
-    /// extended). Zero for the unmonitored entry points. Under
+    /// extended). Zero for [`explore_parallel_with`]. Under
     /// partial-order reduction this counts condemned *representatives*,
     /// not every condemned interleaving, so it is ≤ the unreduced
     /// count.
@@ -138,12 +140,12 @@ pub enum DedupMode {
     },
 }
 
-/// Tuning knobs for [`explore_with`] / [`explore_parallel_with`] /
-/// [`explore_monitored_with`].
+/// Tuning knobs for [`explore_parallel_with`] and
+/// [`explore_monitored_with`]; both honour every field.
 ///
 /// Deduplication (either mode) requires a quiet [`FaultModel`]: the
 /// probabilistic fault stream is part of the configuration but cannot
-/// be keyed, so the `_with` entry points panic on that combination.
+/// be keyed, so both entry points panic on that combination.
 /// Partial-order reduction with non-quiet faults silently degrades to
 /// the full search instead — fault verdicts make same-channel events
 /// rediscoverable in any order, so no two events are treated as
@@ -154,9 +156,8 @@ pub struct ExploreOptions {
     pub cap: usize,
     /// Enable sleep-set partial-order reduction.
     pub por: bool,
-    /// Worker threads (`<= 1` = sequential). Only
-    /// [`explore_parallel_with`] honours this; the `FnMut` entry points
-    /// are sequential by construction.
+    /// Worker threads (`<= 1` = sequential DFS, more = the sharded
+    /// work-stealing frontier).
     pub threads: usize,
     /// Seen-set mode.
     pub dedup: DedupMode,
@@ -200,8 +201,9 @@ impl ExploreOptions {
 }
 
 /// An online check over growing run prefixes, used by
-/// [`explore_monitored`] to cut schedule sub-trees the moment they are
-/// known bad.
+/// [`explore_monitored_with`] to cut schedule sub-trees the moment they
+/// are known bad. The entry point also requires `Send`, so a threaded
+/// search can hand branches, monitor state included, to other workers.
 ///
 /// Cloned at every branch point (so implementations should keep their
 /// state small); fed each run event in the order the explored schedule
@@ -220,14 +222,14 @@ impl ExploreOptions {
 pub trait PrefixMonitor: Clone {
     /// Whether the monitor actually inspects events. The explorer skips
     /// journaling entirely for monitors that never look (the internal
-    /// no-op monitor of the unmonitored entry points).
+    /// no-op monitor of [`explore_parallel_with`]).
     const ACTIVE: bool = true;
 
     /// Called once per executed run event. Return `false` to condemn.
     fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent) -> bool;
 }
 
-/// The monitor of the unmonitored entry points: never condemns, and
+/// The monitor of [`explore_parallel_with`]: never condemns, and
 /// `ACTIVE = false` keeps run-event journaling off.
 #[derive(Clone, Copy)]
 struct NoMonitor;
@@ -240,181 +242,22 @@ impl PrefixMonitor for NoMonitor {
 }
 
 // ---------------------------------------------------------------------------
-// Classic entry points (original semantics, now wrappers over the engine)
+// Entry points
 // ---------------------------------------------------------------------------
 
 /// Exhaustively explores every schedule of `workload` under the
 /// protocol, invoking `visit` with each complete run. `visit` may
-/// return `false` to stop early (e.g. after finding a violation).
+/// return `false` to stop the search (e.g. after finding a violation).
+/// Equivalent to [`explore_monitored_with`] with a monitor that never
+/// condemns and never journals run events.
 ///
 /// Per-process request order is preserved (a user issues its sends in
 /// workload order); everything else — frame arrival order across and
-/// within channels, timer firing order — is fully interleaved.
+/// within channels, timer firing order — is interleaved, subject to the
+/// reductions `opts` enables.
 ///
 /// # Panics
-/// Panics if a protocol livelocks within a schedule (more dispatches
-/// than `10_000` pending at once), which would make exploration
-/// meaningless.
-pub fn explore<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_sequential(state, &opts, NoMonitor, &mut visit)
-}
-
-/// Like [`explore`], but merges converging interleavings: two schedule
-/// prefixes whose dispatches commute (events on different processes)
-/// reach the *same* configuration, and the sub-tree below it is
-/// explored only once. The set of distinct complete runs handed to
-/// `visit` is identical to [`explore`]'s; `schedules` counts distinct
-/// terminal configurations rather than schedules, so it is ≤ the
-/// undeduplicated count.
-///
-/// Equivalent to [`explore_with`] with [`DedupMode::Exact`]; see there
-/// for what the configuration key covers.
-pub fn explore_dedup<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone + Hash,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        dedup: DedupMode::Exact,
-        ..ExploreOptions::default()
-    };
-    explore_with(processes, workload, factory, &opts, &mut visit)
-}
-
-/// Like [`explore`], but carries a [`PrefixMonitor`] along every branch
-/// and prunes any prefix the monitor condemns — the schedule sub-tree
-/// below a detected violation is never expanded. `visit` receives only
-/// the complete runs of *uncondemned* schedules;
-/// [`Exploration::pruned`] counts the condemned prefixes.
-///
-/// # Panics
-/// Panics if a protocol livelocks within a schedule (see [`explore`]).
-pub fn explore_monitored<P, M, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    monitor: M,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone,
-    M: PrefixMonitor,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_sequential(state, &opts, monitor, &mut visit)
-}
-
-/// Like [`explore`], but across `threads` workers over a work-stealing
-/// frontier. With `threads <= 1` this *is* [`explore`] — same code
-/// path, same visit order. With more threads the complete-schedule
-/// count (uncapped) and the multiset of runs visited are identical, but
-/// visit order is nondeterministic and `visit` runs concurrently, so it
-/// must be `Sync` (accumulate through atomics or a mutex). When `cap`
-/// truncates the search, *which* schedules were counted before the cut
-/// depends on thread timing.
-///
-/// # Panics
-/// Propagates panics from worker threads (e.g. a livelocking protocol).
-pub fn explore_parallel<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    threads: usize,
-    cap: usize,
-    visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone + Send,
-    V: Fn(&SystemRun) -> bool + Sync,
-{
-    if threads <= 1 {
-        return explore(processes, workload, factory, cap, |run| visit(run));
-    }
-    let opts = ExploreOptions {
-        cap,
-        threads,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_parallel(state, &opts, NoMonitor, &visit)
-}
-
-// ---------------------------------------------------------------------------
-// Options-driven entry points
-// ---------------------------------------------------------------------------
-
-/// [`explore`] with the full option set: partial-order reduction,
-/// deduplication, a depth bound, and a fault model. Sequential —
-/// [`ExploreOptions::threads`] is ignored here (an `FnMut` visitor
-/// cannot run concurrently); use [`explore_parallel_with`] for the
-/// threaded frontier.
-///
-/// With reduction on, `visit` sees exactly one schedule per
-/// sleep-set-distinct terminal configuration: the *set* of distinct
-/// runs (and so every violating configuration) matches the full
-/// search's, while `schedules` shrinks to the representative count.
-///
-/// # Panics
-/// Panics on a livelocking protocol (see [`explore`]) and on
-/// deduplication combined with a non-quiet fault model (see
-/// [`ExploreOptions`]).
-pub fn explore_with<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    opts: &ExploreOptions,
-    visit: &mut V,
-) -> Exploration
-where
-    P: Protocol + Clone + Hash,
-    V: FnMut(&SystemRun) -> bool,
-{
-    opts.assert_valid();
-    let mut state = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut state);
-    }
-    run_sequential(state, opts, NoMonitor, visit)
-}
-
-/// [`explore_with`] over the sharded work-stealing frontier. The
-/// visitor runs concurrently. Uncapped and without deduplication, the
-/// counters and the multiset of visited runs equal the sequential
-/// search's for any thread count; with deduplication, the *set* of
-/// distinct runs and the `schedules`/`states` counts still match, but
-/// `pruned`/`sleep_skipped` can vary with scheduling (workers may race
-/// into a state before its stored sleep set shrinks).
-///
-/// # Panics
-/// As [`explore_with`]; worker panics propagate.
+/// As [`explore_monitored_with`].
 pub fn explore_parallel_with<P, V>(
     processes: usize,
     workload: Workload,
@@ -426,47 +269,65 @@ where
     P: Protocol + Clone + Hash + Send,
     V: Fn(&SystemRun) -> bool + Sync,
 {
-    opts.assert_valid();
-    let mut state = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut state);
-    }
-    if opts.threads <= 1 {
-        return run_sequential(state, opts, NoMonitor, &mut |run: &SystemRun| visit(run));
-    }
-    run_parallel(state, opts, NoMonitor, visit)
+    explore_monitored_with(processes, workload, factory, NoMonitor, opts, visit)
 }
 
-/// [`explore_monitored`] with the full option set (sequential; see
-/// [`explore_with`] for the threading caveat).
+/// Explores every schedule of `workload` under `opts`, carrying
+/// `monitor` along every branch and pruning any prefix it condemns —
+/// the schedule sub-tree below a detected violation is never expanded.
+/// `visit` receives only the complete runs of *uncondemned* schedules;
+/// [`Exploration::pruned`] counts the condemned prefixes.
 ///
-/// Condemnation composes with sleep sets: a monitor insensitive to the
-/// order of commuting events condemns a representative iff it would
-/// condemn every sleep-skipped sibling order, so the visitor still sees
-/// exactly the uncondemned distinct runs. `pruned` counts condemned
-/// representatives only.
+/// With `opts.threads <= 1` the search is a sequential DFS with a
+/// deterministic visit order. With more threads it runs over the
+/// sharded work-stealing frontier and `visit` runs concurrently (fold
+/// into atomics or a mutex). Uncapped and without deduplication, the
+/// counters and the multiset of visited runs equal the sequential
+/// search's for any thread count; with deduplication, the *set* of
+/// distinct runs and the `schedules`/`states` counts still match, but
+/// `pruned`/`sleep_skipped` can vary with scheduling (workers may race
+/// into a state before its stored sleep set shrinks). When `cap`
+/// truncates a threaded search, *which* schedules were counted before
+/// the cut depends on thread timing.
+///
+/// With reduction on, `visit` sees exactly one schedule per
+/// sleep-set-distinct terminal configuration: the *set* of distinct
+/// runs (and so every violating configuration) matches the full
+/// search's, while `schedules` shrinks to the representative count.
+/// Deduplication likewise merges interleavings that converge on the
+/// same configuration, so `schedules` then counts distinct terminal
+/// configurations. Condemnation composes with sleep sets: a monitor
+/// insensitive to the order of commuting events condemns a
+/// representative iff it would condemn every sleep-skipped sibling
+/// order, so `pruned` counts condemned representatives only.
 ///
 /// # Panics
-/// As [`explore_with`].
+/// Panics if a protocol livelocks within a schedule (more than `10_000`
+/// events pending at once, which would make exploration meaningless)
+/// and on deduplication combined with a non-quiet fault model (see
+/// [`ExploreOptions`]). Worker-thread panics propagate.
 pub fn explore_monitored_with<P, M, V>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
     monitor: M,
     opts: &ExploreOptions,
-    visit: &mut V,
+    visit: &V,
 ) -> Exploration
 where
-    P: Protocol + Clone + Hash,
-    M: PrefixMonitor,
-    V: FnMut(&SystemRun) -> bool,
+    P: Protocol + Clone + Hash + Send,
+    M: PrefixMonitor + Send,
+    V: Fn(&SystemRun) -> bool + Sync,
 {
     opts.assert_valid();
     let mut state = initial_state(processes, workload, factory, &opts.faults);
     if opts.dedup != DedupMode::Off {
         attach_cache(&mut state);
     }
-    run_sequential(state, opts, monitor, visit)
+    if opts.threads <= 1 {
+        return run_sequential(state, opts, monitor, &mut |run: &SystemRun| visit(run));
+    }
+    run_parallel(state, opts, monitor, visit)
 }
 
 // ---------------------------------------------------------------------------
@@ -1761,7 +1622,7 @@ mod tests {
     use super::*;
     use crate::workload::SendSpec;
     use msgorder_runs::{MessageId, ProcessId};
-    use std::collections::{BTreeMap, BTreeSet, HashSet};
+    use std::collections::{BTreeMap, HashSet};
 
     #[derive(Clone, Hash)]
     struct Immediate;
@@ -1797,9 +1658,17 @@ mod tests {
         }
     }
 
+    fn capped(cap: usize) -> ExploreOptions {
+        ExploreOptions {
+            cap,
+            ..ExploreOptions::default()
+        }
+    }
+
     #[test]
     fn exploration_counts_non_live_schedules_with_blame() {
-        let exp = explore(2, two_same_channel(), |_| Sink2, 10_000, |_| true);
+        let exp =
+            explore_parallel_with(2, two_same_channel(), |_| Sink2, &capped(10_000), &|_| true);
         assert!(exp.error.is_none());
         assert!(exp.schedules > 0);
         assert_eq!(
@@ -1814,12 +1683,22 @@ mod tests {
         );
 
         // A live protocol reports none.
-        let exp = explore(2, two_same_channel(), |_| Immediate, 10_000, |_| true);
+        let exp = explore_parallel_with(
+            2,
+            two_same_channel(),
+            |_| Immediate,
+            &capped(10_000),
+            &|_| true,
+        );
         assert_eq!(exp.non_live, 0);
         assert!(exp.first_stall.is_none());
 
         // The parallel front end aggregates the same counts.
-        let par = explore_parallel(2, two_same_channel(), |_| Sink2, 4, 10_000, |_| true);
+        let opts = ExploreOptions {
+            threads: 4,
+            ..capped(10_000)
+        };
+        let par = explore_parallel_with(2, two_same_channel(), |_| Sink2, &opts, &|_| true);
         assert_eq!(par.non_live, par.schedules);
         assert!(par.first_stall.is_some());
     }
@@ -1851,40 +1730,43 @@ mod tests {
         // [a0] and [a1] relative to req order... enumerate and check a
         // known property instead of an exact count: both delivery
         // orders must occur.
-        let mut saw_in_order = false;
-        let mut saw_inverted = false;
-        let exp = explore(
+        let saw_in_order = AtomicBool::new(false);
+        let saw_inverted = AtomicBool::new(false);
+        let exp = explore_parallel_with(
             2,
             two_same_channel(),
             |_| Immediate,
-            10_000,
-            |run| {
+            &capped(10_000),
+            &|run| {
                 let user = run.users_view();
                 use msgorder_runs::UserEvent;
                 if user.before(
                     UserEvent::deliver(MessageId(0)),
                     UserEvent::deliver(MessageId(1)),
                 ) {
-                    saw_in_order = true;
+                    saw_in_order.store(true, Ordering::Relaxed);
                 } else {
-                    saw_inverted = true;
+                    saw_inverted.store(true, Ordering::Relaxed);
                 }
                 true
             },
         );
         assert!(!exp.truncated);
         assert!(exp.schedules >= 2);
-        assert!(saw_in_order && saw_inverted, "explorer must reorder frames");
+        assert!(
+            saw_in_order.into_inner() && saw_inverted.into_inner(),
+            "explorer must reorder frames"
+        );
     }
 
     #[test]
     fn every_explored_run_is_quiescent_for_live_protocol() {
-        let exp = explore(
+        let exp = explore_parallel_with(
             2,
             two_same_channel(),
             |_| Immediate,
-            10_000,
-            |run| {
+            &capped(10_000),
+            &|run| {
                 assert!(run.is_quiescent());
                 true
             },
@@ -1894,7 +1776,13 @@ mod tests {
 
     #[test]
     fn early_stop_works() {
-        let exp = explore(2, two_same_channel(), |_| Immediate, 10_000, |_| false);
+        let exp = explore_parallel_with(
+            2,
+            two_same_channel(),
+            |_| Immediate,
+            &capped(10_000),
+            &|_| false,
+        );
         assert_eq!(exp.schedules, 1);
     }
 
@@ -1910,7 +1798,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let exp = explore(2, w, |_| Immediate, 3, |_| true);
+        let exp = explore_parallel_with(2, w, |_| Immediate, &capped(3), &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 3);
     }
@@ -1955,35 +1843,45 @@ mod tests {
         pairs
     }
 
-    fn run_set(exp_runs: &BTreeSet<Vec<(String, String)>>) -> usize {
-        exp_runs.len()
+    /// Visited runs keyed by [`fingerprint`], with their visit counts.
+    type RunCounts = BTreeMap<Vec<(String, String)>, usize>;
+
+    /// Explores `w` under the [`Immediate`] protocol, `monitor` and
+    /// `opts`, counting every visited run by its fingerprint.
+    fn immediate_runs<M: PrefixMonitor + Send>(
+        processes: usize,
+        w: Workload,
+        monitor: M,
+        opts: &ExploreOptions,
+    ) -> (Exploration, RunCounts) {
+        let runs = Mutex::new(RunCounts::new());
+        let exp = explore_monitored_with(processes, w, |_| Immediate, monitor, opts, &|run| {
+            *runs
+                .lock()
+                .expect("no visitor panicked")
+                .entry(fingerprint(run))
+                .or_default() += 1;
+            true
+        });
+        (exp, runs.into_inner().expect("final read"))
+    }
+
+    fn exact_opts() -> ExploreOptions {
+        ExploreOptions {
+            dedup: DedupMode::Exact,
+            ..ExploreOptions::default()
+        }
     }
 
     #[test]
     fn dedup_visits_same_distinct_runs_with_fewer_configurations() {
-        let mut plain_runs = BTreeSet::new();
-        let plain = explore(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
+        let (plain, plain_runs) =
+            immediate_runs(3, fan_out(), NoMonitor, &ExploreOptions::default());
+        let (dedup, dedup_runs) = immediate_runs(3, fan_out(), NoMonitor, &exact_opts());
+        assert!(
+            plain_runs.keys().eq(dedup_runs.keys()),
+            "dedup must not lose runs"
         );
-        let mut dedup_runs = BTreeSet::new();
-        let dedup = explore_dedup(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                dedup_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        assert_eq!(plain_runs, dedup_runs, "dedup must not lose runs");
         assert!(
             dedup.schedules < plain.schedules,
             "commuting interleavings must merge: {} !< {}",
@@ -1991,7 +1889,7 @@ mod tests {
             plain.schedules
         );
         assert!(dedup.states > 0, "dedup reports the state count");
-        assert!(run_set(&dedup_runs) > 0);
+        assert!(!dedup_runs.is_empty());
     }
 
     /// One successor state per enabled branch, in the engine's order.
@@ -2105,9 +2003,19 @@ mod tests {
 
     #[test]
     fn parallel_counts_match_sequential() {
-        let seq = explore(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let seq = explore_parallel_with(
+            3,
+            fan_out(),
+            |_| Immediate,
+            &ExploreOptions::default(),
+            &|_| true,
+        );
         for threads in [1, 2, 4] {
-            let par = explore_parallel(3, fan_out(), |_| Immediate, threads, usize::MAX, |_| true);
+            let opts = ExploreOptions {
+                threads,
+                ..ExploreOptions::default()
+            };
+            let par = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
             assert!(!par.truncated);
         }
@@ -2115,34 +2023,13 @@ mod tests {
 
     #[test]
     fn parallel_visits_same_run_multiset() {
-        let mut seq_runs: BTreeMap<Vec<(String, String)>, usize> = BTreeMap::new();
-        explore(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                *seq_runs.entry(fingerprint(run)).or_default() += 1;
-                true
-            },
-        );
-        let par_runs = Mutex::new(BTreeMap::<Vec<(String, String)>, usize>::new());
-        explore_parallel(
-            3,
-            fan_out(),
-            |_| Immediate,
-            4,
-            usize::MAX,
-            |run| {
-                *par_runs
-                    .lock()
-                    .expect("no visitor panicked")
-                    .entry(fingerprint(run))
-                    .or_default() += 1;
-                true
-            },
-        );
-        assert_eq!(seq_runs, par_runs.into_inner().expect("final read"));
+        let (_, seq_runs) = immediate_runs(3, fan_out(), NoMonitor, &ExploreOptions::default());
+        let opts = ExploreOptions {
+            threads: 4,
+            ..ExploreOptions::default()
+        };
+        let (_, par_runs) = immediate_runs(3, fan_out(), NoMonitor, &opts);
+        assert_eq!(seq_runs, par_runs);
     }
 
     /// Condemns any prefix whose deliveries on the (0 → 1) channel are
@@ -2171,34 +2058,33 @@ mod tests {
 
     #[test]
     fn monitored_exploration_prunes_condemned_prefixes() {
-        let mut plain_total = 0usize;
-        let mut plain_fifo = 0usize;
-        explore(
+        let plain_fifo = AtomicUsize::new(0);
+        let plain = explore_parallel_with(
             2,
             two_same_channel(),
             |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_total += 1;
+            &ExploreOptions::default(),
+            &|run| {
                 let user = run.users_view();
                 if user.before(
                     msgorder_runs::UserEvent::deliver(MessageId(0)),
                     msgorder_runs::UserEvent::deliver(MessageId(1)),
                 ) {
-                    plain_fifo += 1;
+                    plain_fifo.fetch_add(1, Ordering::Relaxed);
                 }
                 true
             },
         );
-        let mut visited = 0usize;
-        let exp = explore_monitored(
+        let (plain_total, plain_fifo) = (plain.schedules, plain_fifo.into_inner());
+        let visited = AtomicUsize::new(0);
+        let exp = explore_monitored_with(
             2,
             two_same_channel(),
             |_| Immediate,
             FifoCheck,
-            usize::MAX,
-            |run| {
-                visited += 1;
+            &ExploreOptions::default(),
+            &|run| {
+                visited.fetch_add(1, Ordering::Relaxed);
                 let user = run.users_view();
                 assert!(
                     user.before(
@@ -2210,6 +2096,7 @@ mod tests {
                 true
             },
         );
+        let visited = visited.into_inner();
         assert!(exp.error.is_none());
         assert_eq!(exp.schedules, visited);
         assert_eq!(visited, plain_fifo, "every FIFO schedule still visited");
@@ -2232,7 +2119,11 @@ mod tests {
                 })
                 .collect(),
         };
-        let exp = explore_parallel(2, w, |_| Immediate, 4, 3, |_| true);
+        let opts = ExploreOptions {
+            threads: 4,
+            ..capped(3)
+        };
+        let exp = explore_parallel_with(2, w, |_| Immediate, &opts, &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 3);
     }
@@ -2250,29 +2141,13 @@ mod tests {
 
     #[test]
     fn por_visits_same_run_set_with_fewer_schedules() {
-        let mut plain_runs = BTreeSet::new();
-        let plain = explore(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
+        let (plain, plain_runs) =
+            immediate_runs(3, fan_out(), NoMonitor, &ExploreOptions::default());
+        let (por, por_runs) = immediate_runs(3, fan_out(), NoMonitor, &por_opts());
+        assert!(
+            plain_runs.keys().eq(por_runs.keys()),
+            "reduction must not lose runs"
         );
-        let mut por_runs = BTreeSet::new();
-        let por = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                por_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        assert_eq!(plain_runs, por_runs, "reduction must not lose runs");
         assert!(
             por.schedules < plain.schedules,
             "commuting interleavings must be skipped: {} !< {}",
@@ -2284,34 +2159,16 @@ mod tests {
 
     #[test]
     fn por_with_dedup_agrees_with_exact_dedup() {
-        let mut exact_runs = BTreeSet::new();
-        let exact = explore_dedup(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                exact_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        let mut both_runs = BTreeSet::new();
+        let (exact, exact_runs) = immediate_runs(3, fan_out(), NoMonitor, &exact_opts());
         let opts = ExploreOptions {
             por: true,
-            dedup: DedupMode::Exact,
-            ..ExploreOptions::default()
+            ..exact_opts()
         };
-        let both = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &opts,
-            &mut |run: &SystemRun| {
-                both_runs.insert(fingerprint(run));
-                true
-            },
+        let (both, both_runs) = immediate_runs(3, fan_out(), NoMonitor, &opts);
+        assert!(
+            exact_runs.keys().eq(both_runs.keys()),
+            "POR over dedup must not lose runs"
         );
-        assert_eq!(exact_runs, both_runs, "POR over dedup must not lose runs");
         assert_eq!(
             both.schedules, exact.schedules,
             "terminal configurations are counted once either way"
@@ -2321,7 +2178,7 @@ mod tests {
 
     #[test]
     fn compact_dedup_matches_exact_counts() {
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = explore_parallel_with(3, fan_out(), |_| Immediate, &exact_opts(), &|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 0,
@@ -2329,9 +2186,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let compact = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let compact = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(compact.schedules, exact.schedules);
         assert_eq!(compact.states, exact.states);
         assert!(!compact.truncated);
@@ -2346,9 +2201,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(exp.truncated, "a full bounded table must truncate");
         assert!(
             exp.states <= 8,
@@ -2361,7 +2214,7 @@ mod tests {
     fn spilling_seen_set_completes_the_search() {
         let dir = std::env::temp_dir().join(format!("msgorder-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = explore_parallel_with(3, fan_out(), |_| Immediate, &exact_opts(), &|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 8,
@@ -2369,9 +2222,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let spilled = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let spilled = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(!spilled.truncated, "spilling must keep the search complete");
         assert_eq!(spilled.schedules, exact.schedules);
         assert_eq!(spilled.states, exact.states);
@@ -2411,9 +2262,7 @@ mod tests {
             ..ExploreOptions::default()
         };
         for _ in 0..2 {
-            let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-                true
-            });
+            let exp = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
             assert!(exp.spilled > 0, "the tiny bound must force segments out");
         }
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
@@ -2454,35 +2303,37 @@ mod tests {
                 },
             ],
         };
-        let mut plain_runs = BTreeSet::new();
-        explore_monitored(
-            3,
-            w.clone(),
-            |_| Immediate,
-            FifoCheck,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        let mut por_runs = BTreeSet::new();
-        let exp = explore_monitored_with(
-            3,
-            w,
-            |_| Immediate,
-            FifoCheck,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                por_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        assert_eq!(
-            plain_runs, por_runs,
+        let (_, plain_runs) = immediate_runs(3, w.clone(), FifoCheck, &ExploreOptions::default());
+        let (exp, por_runs) = immediate_runs(3, w, FifoCheck, &por_opts());
+        assert!(
+            plain_runs.keys().eq(por_runs.keys()),
             "sleep sets must not change what the monitor lets through"
         );
         assert!(exp.pruned > 0, "the monitor still condemns representatives");
+    }
+
+    #[test]
+    fn monitored_exploration_honours_threads() {
+        // The sequential DFS visits on the calling thread; the threaded
+        // frontier only ever visits on its scoped workers.
+        let caller = std::thread::current().id();
+        for threads in [1, 2] {
+            let opts = ExploreOptions {
+                threads,
+                ..por_opts()
+            };
+            let on_caller = AtomicUsize::new(0);
+            let exp =
+                explore_monitored_with(3, fan_out(), |_| Immediate, FifoCheck, &opts, &|_| {
+                    if std::thread::current().id() == caller {
+                        on_caller.fetch_add(1, Ordering::Relaxed);
+                    }
+                    true
+                });
+            assert!(exp.schedules > 0);
+            let want = if threads == 1 { exp.schedules } else { 0 };
+            assert_eq!(on_caller.into_inner(), want, "threads = {threads}");
+        }
     }
 
     #[test]
@@ -2499,16 +2350,8 @@ mod tests {
             faults,
             ..ExploreOptions::default()
         };
-        let a = explore_with(3, fan_out(), |_| Immediate, &full, &mut |_: &SystemRun| {
-            true
-        });
-        let b = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &with_por,
-            &mut |_: &SystemRun| true,
-        );
+        let a = explore_parallel_with(3, fan_out(), |_| Immediate, &full, &|_| true);
+        let b = explore_parallel_with(3, fan_out(), |_| Immediate, &with_por, &|_| true);
         assert_eq!(a.schedules, b.schedules, "POR must be inert under faults");
         assert_eq!(b.sleep_skipped, 0);
     }
@@ -2521,13 +2364,7 @@ mod tests {
             faults: FaultModel::none().with_crash(0, 1, None),
             ..ExploreOptions::default()
         };
-        let _ = explore_with(
-            2,
-            two_same_channel(),
-            |_| Immediate,
-            &opts,
-            &mut |_: &SystemRun| true,
-        );
+        let _ = explore_parallel_with(2, two_same_channel(), |_| Immediate, &opts, &|_| true);
     }
 
     #[test]
@@ -2538,9 +2375,7 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 0);
         // max_depth = 1: no schedule of this workload completes in one
@@ -2550,13 +2385,7 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &shallow,
-            &mut |_: &SystemRun| true,
-        );
+        let exp = explore_parallel_with(3, fan_out(), |_| Immediate, &shallow, &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 0);
         let deep = ExploreOptions {
@@ -2564,61 +2393,35 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &deep, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore_parallel_with(3, fan_out(), |_| Immediate, &deep, &|_| true);
         assert!(!exp.truncated);
         assert!(exp.schedules > 0);
     }
 
     #[test]
     fn threaded_por_matches_sequential_por() {
-        let mut seq_runs: BTreeMap<Vec<(String, String)>, usize> = BTreeMap::new();
-        let seq = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                *seq_runs.entry(fingerprint(run)).or_default() += 1;
-                true
-            },
-        );
+        let (seq, seq_runs) = immediate_runs(3, fan_out(), NoMonitor, &por_opts());
         for threads in [2, 4] {
             let opts = ExploreOptions {
-                por: true,
                 threads,
-                ..ExploreOptions::default()
+                ..por_opts()
             };
-            let par_runs = Mutex::new(BTreeMap::<Vec<(String, String)>, usize>::new());
-            let par =
-                explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|run: &SystemRun| {
-                    *par_runs
-                        .lock()
-                        .expect("no visitor panicked")
-                        .entry(fingerprint(run))
-                        .or_default() += 1;
-                    true
-                });
+            let (par, par_runs) = immediate_runs(3, fan_out(), NoMonitor, &opts);
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
-            assert_eq!(
-                seq_runs,
-                par_runs.into_inner().expect("final read"),
-                "threads = {threads}"
-            );
+            assert_eq!(seq_runs, par_runs, "threads = {threads}");
         }
     }
 
     #[test]
     fn threaded_dedup_counts_terminal_configurations_once() {
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = explore_parallel_with(3, fan_out(), |_| Immediate, &exact_opts(), &|_| true);
         let opts = ExploreOptions {
             por: true,
             threads: 4,
             dedup: DedupMode::Exact,
             ..ExploreOptions::default()
         };
-        let par = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_: &SystemRun| true);
+        let par = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(par.schedules, exact.schedules);
         assert!(par.states <= exact.states);
     }

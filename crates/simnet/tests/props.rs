@@ -1,7 +1,10 @@
 //! Property tests for the simulator kernel.
 
 use msgorder_runs::{MessageId, ProcessId};
-use msgorder_simnet::{explore, Ctx, LatencyModel, Protocol, SimConfig, Simulation, Workload};
+use msgorder_simnet::{
+    explore_parallel_with, Ctx, ExploreOptions, LatencyModel, Protocol, SimConfig, Simulation,
+    Workload,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Hash)]
@@ -65,12 +68,14 @@ proptest! {
     #[test]
     fn explorer_covers_small_workloads(msgs in 1usize..4, seed in 0u64..1000) {
         let w = Workload::uniform_random(2, msgs, seed);
-        let mut count = 0usize;
-        let e = explore(2, w, |_| Immediate, 50_000, |run| {
+        let count = std::sync::atomic::AtomicUsize::new(0);
+        let opts = ExploreOptions { cap: 50_000, ..ExploreOptions::default() };
+        let e = explore_parallel_with(2, w, |_| Immediate, &opts, &|run| {
             assert!(run.is_quiescent());
-            count += 1;
+            count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             true
         });
+        let count = count.into_inner();
         prop_assert!(!e.truncated);
         prop_assert_eq!(e.schedules, count);
         prop_assert!(count >= 1);
@@ -129,7 +134,7 @@ fn explore_runs<P>(
     procs: usize,
     w: &Workload,
     factory: impl Fn(usize) -> P,
-    opts: &msgorder_simnet::ExploreOptions,
+    opts: &ExploreOptions,
 ) -> (
     std::collections::BTreeSet<String>,
     msgorder_simnet::Exploration,
@@ -138,7 +143,7 @@ where
     P: Protocol + Clone + std::hash::Hash + Send,
 {
     let set = std::sync::Mutex::new(std::collections::BTreeSet::new());
-    let e = msgorder_simnet::explore_parallel_with(procs, w.clone(), factory, opts, &|run| {
+    let e = explore_parallel_with(procs, w.clone(), factory, opts, &|run| {
         set.lock()
             .expect("no visitor panicked")
             .insert(format!("{:?}", run.users_view().relation_pairs()));
@@ -157,7 +162,7 @@ proptest! {
     fn reduction_preserves_terminal_configurations(
         procs in 2usize..4, msgs in 1usize..5, seed in 0u64..500, stateful in any::<bool>(),
     ) {
-        use msgorder_simnet::{DedupMode, ExploreOptions};
+        use msgorder_simnet::DedupMode;
         let w = Workload::uniform_random(procs, msgs, seed);
         let run = |opts: &ExploreOptions| {
             if stateful {
@@ -187,7 +192,7 @@ proptest! {
         msgs in 1usize..5, seed in 0u64..500, por in any::<bool>(), threads in 2usize..5,
         drop_faults in any::<bool>(),
     ) {
-        use msgorder_simnet::{ExploreOptions, FaultModel};
+        use msgorder_simnet::FaultModel;
         let procs = 3;
         let w = Workload::uniform_random(procs, msgs, seed);
         let faults = if drop_faults {
@@ -210,7 +215,7 @@ proptest! {
     /// still completes the search unreduced.
     #[test]
     fn compact_dedup_agrees_with_exact(msgs in 1usize..5, seed in 0u64..500) {
-        use msgorder_simnet::{DedupMode, ExploreOptions};
+        use msgorder_simnet::DedupMode;
         let procs = 2;
         let w = Workload::uniform_random(procs, msgs, seed);
         let exact = explore_runs(procs, &w, |_| FifoLocal::new(procs), &ExploreOptions {

@@ -12,14 +12,13 @@ use crate::registry::{names, MetricsRegistry, SharedRegistry};
 use msgorder_predicate::eval::MonitorTimings;
 use msgorder_runs::{EventKind, StreamingRun, SystemEvent};
 use msgorder_simnet::{
-    DropReason, FaultModel, FaultRecord, KernelEvent, PayloadKind, RunObserver, Stats, WireRecord,
+    DropReason, FaultModel, FaultRecord, KernelEvent, PayloadKind, RunObserver, WireRecord,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A log₂-bucketed histogram of `u64` samples: bucket `i` holds samples
 /// in `[2^i, 2^(i+1))` (bucket 0 also takes 0).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
     pub buckets: Vec<u64>,
@@ -149,7 +148,7 @@ impl From<&MonitorTimings> for Histogram {
 }
 
 /// The metrics report of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Host wall-clock time of the run, in nanoseconds.
     pub wall_nanos: u64,
@@ -185,8 +184,6 @@ pub struct Metrics {
     /// The online monitor's delta-search timings (host nanoseconds),
     /// when a monitor ran alongside.
     pub monitor_search_nanos: Option<Histogram>,
-    /// Final kernel stats, attached at [`MetricsObserver::finish`].
-    pub stats: Stats,
 }
 
 impl Metrics {
@@ -268,93 +265,6 @@ impl Metrics {
             out.push_str(&mon.render("    "));
         }
         out
-    }
-
-    /// Snapshots this finished report into a [`MetricsRegistry`] under
-    /// the standard `msgorder_*` names (counters add onto whatever the
-    /// registry already holds, histograms merge).
-    pub fn export_into(&self, reg: &mut MetricsRegistry) {
-        reg.add_counter(
-            names::DELIVERIES,
-            &[],
-            names::HELP_DELIVERIES,
-            self.deliveries,
-        );
-        reg.add_counter(
-            names::USER_FRAMES,
-            &[],
-            names::HELP_USER_FRAMES,
-            self.user_frames,
-        );
-        reg.add_counter(
-            names::CONTROL_FRAMES,
-            &[],
-            names::HELP_CONTROL_FRAMES,
-            self.control_frames,
-        );
-        reg.add_counter(
-            names::USER_BYTES,
-            &[],
-            names::HELP_USER_BYTES,
-            self.user_bytes,
-        );
-        reg.add_counter(
-            names::CONTROL_BYTES,
-            &[],
-            names::HELP_CONTROL_BYTES,
-            self.control_bytes,
-        );
-        reg.add_counter(
-            names::RETRANSMISSIONS,
-            &[],
-            names::HELP_RETRANSMISSIONS,
-            self.retransmissions,
-        );
-        reg.add_counter(
-            names::DROPS,
-            &[("reason", "partition")],
-            names::HELP_DROPS,
-            self.partition_drops,
-        );
-        reg.add_counter(
-            names::DROPS,
-            &[("reason", "loss")],
-            names::HELP_DROPS,
-            self.loss_drops,
-        );
-        reg.add_counter(
-            names::DUPLICATES,
-            &[],
-            names::HELP_DUPLICATES,
-            self.duplicates,
-        );
-        reg.add_counter(
-            names::CRASH_EFFECTS,
-            &[],
-            names::HELP_CRASH_EFFECTS,
-            self.crash_effects,
-        );
-        reg.add_counter(
-            names::ABANDONED,
-            &[],
-            names::HELP_ABANDONED,
-            self.messages_abandoned,
-        );
-        reg.merge_histogram(
-            names::DELIVERY_LATENCY,
-            &[],
-            names::HELP_DELIVERY_LATENCY,
-            &self.delivery_latency,
-        );
-        reg.merge_histogram(
-            names::INHIBITION,
-            &[],
-            names::HELP_INHIBITION,
-            &self.inhibition,
-        );
-        if let Some(mon) = &self.monitor_search_nanos {
-            reg.merge_histogram(names::MONITOR_SEARCH, &[], names::HELP_MONITOR_SEARCH, mon);
-        }
     }
 }
 
@@ -487,9 +397,9 @@ impl MetricsObserver {
     }
 
     /// Folds the observation into a [`Metrics`] report, stopping the
-    /// wall clock and attaching the kernel's final `stats`. Messages
-    /// still awaiting delivery count as abandoned — the run is over.
-    pub fn finish(mut self, stats: &Stats) -> Metrics {
+    /// wall clock. Messages still awaiting delivery count as abandoned
+    /// — the run is over.
+    pub fn finish(mut self) -> Metrics {
         self.messages_abandoned += self.pending.len() as u64;
         self.pending.clear();
         Metrics {
@@ -508,7 +418,6 @@ impl MetricsObserver {
             crash_effects: self.crash_effects,
             messages_abandoned: self.messages_abandoned,
             monitor_search_nanos: None,
-            stats: stats.clone(),
         }
     }
 
@@ -632,8 +541,8 @@ impl MetricsObserver {
 
     /// Like [`finish`](MetricsObserver::finish), attaching the online
     /// monitor's delta-search timings.
-    pub fn finish_with_monitor(self, stats: &Stats, timings: &MonitorTimings) -> Metrics {
-        let mut m = self.finish(stats);
+    pub fn finish_with_monitor(self, timings: &MonitorTimings) -> Metrics {
+        let mut m = self.finish();
         m.monitor_search_nanos = Some(Histogram::from(timings));
         m
     }
@@ -942,7 +851,7 @@ mod tests {
             },
             40,
         );
-        let m = obs.finish(&Stats::default());
+        let m = obs.finish();
         assert_eq!(m.deliveries, 1);
         assert_eq!(m.delivery_latency.max, 30);
         assert_eq!(m.inhibition.max, 10);

@@ -1,9 +1,10 @@
 //! A process-wide metrics registry with a Prometheus text-format face.
 //!
 //! [`Metrics`](crate::Metrics) reports describe one finished run; a
-//! [`MetricsRegistry`] is the always-on accumulator those reports (and
-//! the live [`LiveMetrics`](crate::LiveMetrics) observer) snapshot
-//! into. It holds three kinds of series — monotone counters, gauges,
+//! [`MetricsRegistry`] is the always-on accumulator that
+//! [`MetricsObserver::drain_into`](crate::metrics::MetricsObserver::drain_into)
+//! (and through it the live [`LiveMetrics`](crate::LiveMetrics)
+//! observer) feeds. It holds three kinds of series — monotone counters, gauges,
 //! and the crate's log₂ [`Histogram`]s — keyed by metric name plus an
 //! optional label set, and renders them in the Prometheus text
 //! exposition format (`# HELP` / `# TYPE` headers, cumulative `le`
@@ -24,8 +25,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The standard `msgorder_*` metric names and help strings — one
-/// place, so the observer, the `Metrics` snapshot path, the soak
-/// harness, and the tests can never drift apart on spelling.
+/// place, so the observer, the soak harness, and the tests can never
+/// drift apart on spelling.
 pub mod names {
     /// User messages delivered.
     pub const DELIVERIES: &str = "msgorder_deliveries_total";

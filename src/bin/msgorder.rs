@@ -538,11 +538,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             trace.footer.fingerprint
         );
     }
-    let stats = match &outcome {
-        Ok(r) => {
-            print_report(r, &setup, spec.as_ref(), monitor.as_ref());
-            &r.stats
-        }
+    match &outcome {
+        Ok(r) => print_report(r, &setup, spec.as_ref(), monitor.as_ref()),
         Err(e) => {
             println!("PROTOCOL BUG  : {e}");
             if let Some(v) = e.kind.liveness() {
@@ -552,13 +549,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 println!("\ncounterexample trace (up to the bug):");
                 print!("{}", render_timeline(trace));
             }
-            &e.stats
         }
-    };
+    }
     if let Some(mobs) = mobs {
         let m = match &monitor {
-            Some(mon) => mobs.finish_with_monitor(stats, &mon.search_timings()),
-            None => mobs.finish(stats),
+            Some(mon) => mobs.finish_with_monitor(&mon.search_timings()),
+            None => mobs.finish(),
         };
         println!("\nmetrics:");
         print!("{}", m.render());
@@ -733,7 +729,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         let mut mobs = MetricsObserver::new();
         mobs.consume(&trace.events);
         println!("\nmetrics (from the recorded events):");
-        print!("{}", mobs.finish(&trace.footer.stats).render());
+        print!("{}", mobs.finish().render());
     }
     if report.ok() {
         println!("REPLAY OK     : the trace reproduces the recorded run");

@@ -5,7 +5,8 @@
 use msgorder::predicate::{catalog, eval};
 use msgorder::protocols::{AsyncProtocol, CausalRst, FifoProtocol, SyncProtocol};
 use msgorder::runs::limit_sets;
-use msgorder::simnet::{explore, SendSpec, Workload};
+use msgorder::simnet::{explore_parallel_with, ExploreOptions, SendSpec, Workload};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn same_channel(n: u64) -> Workload {
     Workload {
@@ -17,6 +18,13 @@ fn same_channel(n: u64) -> Workload {
                 color: None,
             })
             .collect(),
+    }
+}
+
+fn capped(cap: usize) -> ExploreOptions {
+    ExploreOptions {
+        cap,
+        ..ExploreOptions::default()
     }
 }
 
@@ -49,22 +57,23 @@ fn triangle() -> Workload {
 #[test]
 fn fifo_protocol_exhaustively_fifo_on_three_messages() {
     let spec = catalog::fifo();
-    let mut checked = 0;
-    let exp = explore(
+    let checked = AtomicUsize::new(0);
+    let exp = explore_parallel_with(
         2,
         same_channel(3),
         |_| FifoProtocol::new(),
-        100_000,
-        |run| {
+        &capped(100_000),
+        &|run| {
             assert!(run.is_quiescent(), "liveness on every schedule");
             assert!(
                 eval::satisfies_spec(&spec, &run.users_view()),
                 "FIFO violated on a schedule"
             );
-            checked += 1;
+            checked.fetch_add(1, Ordering::Relaxed);
             true
         },
     );
+    let checked = checked.into_inner();
     assert!(
         !exp.truncated,
         "exploration must be complete to count as proof"
@@ -78,41 +87,45 @@ fn fifo_protocol_exhaustively_fifo_on_three_messages() {
 #[test]
 fn async_protocol_exhaustively_shown_non_fifo() {
     let spec = catalog::fifo();
-    let mut violated = false;
-    explore(
+    let violated = AtomicBool::new(false);
+    explore_parallel_with(
         2,
         same_channel(2),
         |_| AsyncProtocol::new(),
-        100_000,
-        |run| {
+        &capped(100_000),
+        &|run| {
             if !eval::satisfies_spec(&spec, &run.users_view()) {
-                violated = true;
+                violated.store(true, Ordering::Relaxed);
                 return false; // counterexample found
             }
             true
         },
     );
-    assert!(violated, "some schedule must invert the two deliveries");
+    assert!(
+        violated.into_inner(),
+        "some schedule must invert the two deliveries"
+    );
 }
 
 #[test]
 fn causal_rst_exhaustively_causal_on_the_triangle() {
-    let mut checked = 0;
-    let exp = explore(
+    let checked = AtomicUsize::new(0);
+    let exp = explore_parallel_with(
         3,
         triangle(),
         |_| CausalRst::new(3),
-        200_000,
-        |run| {
+        &capped(200_000),
+        &|run| {
             assert!(run.is_quiescent(), "liveness on every schedule");
             assert!(
                 limit_sets::in_x_co(&run.users_view()),
                 "causal ordering violated on a schedule"
             );
-            checked += 1;
+            checked.fetch_add(1, Ordering::Relaxed);
             true
         },
     );
+    let checked = checked.into_inner();
     assert!(!exp.truncated);
     assert!(
         checked >= 2,
@@ -122,22 +135,22 @@ fn causal_rst_exhaustively_causal_on_the_triangle() {
 
 #[test]
 fn async_protocol_exhaustively_breaks_the_triangle() {
-    let mut violated = false;
-    explore(
+    let violated = AtomicBool::new(false);
+    explore_parallel_with(
         3,
         triangle(),
         |_| AsyncProtocol::new(),
-        200_000,
-        |run| {
+        &capped(200_000),
+        &|run| {
             if !limit_sets::in_x_co(&run.users_view()) {
-                violated = true;
+                violated.store(true, Ordering::Relaxed);
                 return false;
             }
             true
         },
     );
     assert!(
-        violated,
+        violated.into_inner(),
         "the relay must overtake the direct message on some schedule"
     );
 }
@@ -163,22 +176,17 @@ fn sync_protocol_exhaustively_synchronous_on_crossing_pair() {
             },
         ],
     };
-    let mut checked = 0;
-    let exp = explore(
-        2,
-        w,
-        |_| SyncProtocol::new(),
-        500_000,
-        |run| {
-            assert!(run.is_quiescent(), "liveness on every schedule");
-            assert!(
-                limit_sets::in_x_sync(&run.users_view()),
-                "logical synchrony violated on a schedule"
-            );
-            checked += 1;
-            true
-        },
-    );
+    let checked = AtomicUsize::new(0);
+    let exp = explore_parallel_with(2, w, |_| SyncProtocol::new(), &capped(500_000), &|run| {
+        assert!(run.is_quiescent(), "liveness on every schedule");
+        assert!(
+            limit_sets::in_x_sync(&run.users_view()),
+            "logical synchrony violated on a schedule"
+        );
+        checked.fetch_add(1, Ordering::Relaxed);
+        true
+    });
+    let checked = checked.into_inner();
     assert!(!exp.truncated);
     assert!(checked >= 2, "got {checked}");
 }
@@ -201,21 +209,15 @@ fn async_protocol_exhaustively_crosses_the_pair() {
             },
         ],
     };
-    let mut crossed = false;
-    explore(
-        2,
-        w,
-        |_| AsyncProtocol::new(),
-        100_000,
-        |run| {
-            if !limit_sets::in_x_sync(&run.users_view()) {
-                crossed = true;
-                return false;
-            }
-            true
-        },
-    );
-    assert!(crossed, "some schedule must cross the pair");
+    let crossed = AtomicBool::new(false);
+    explore_parallel_with(2, w, |_| AsyncProtocol::new(), &capped(100_000), &|run| {
+        if !limit_sets::in_x_sync(&run.users_view()) {
+            crossed.store(true, Ordering::Relaxed);
+            return false;
+        }
+        true
+    });
+    assert!(crossed.into_inner(), "some schedule must cross the pair");
 }
 
 /// Explores a workload under `opts` and returns the set of *violating*
@@ -226,13 +228,13 @@ fn violation_set(
     w: &Workload,
     kind: &msgorder::protocols::ProtocolKind,
     spec: &msgorder::predicate::ForbiddenPredicate,
-    opts: &msgorder::simnet::ExploreOptions,
+    opts: &ExploreOptions,
 ) -> (
     std::collections::BTreeSet<String>,
     msgorder::simnet::Exploration,
 ) {
     let set = std::sync::Mutex::new(std::collections::BTreeSet::new());
-    let e = msgorder::simnet::explore_parallel_with(
+    let e = explore_parallel_with(
         procs,
         w.clone(),
         |node| kind.explorable(procs, node).expect("explorable protocol"),
@@ -263,7 +265,7 @@ proptest::proptest! {
         msgs in 2usize..5, seed in 0u64..200, causal_spec in proptest::prelude::any::<bool>(),
         fifo_protocol in proptest::prelude::any::<bool>(),
     ) {
-        use msgorder::simnet::{DedupMode, ExploreOptions};
+        use msgorder::simnet::DedupMode;
         let procs = 3;
         let w = Workload::uniform_random(procs, msgs, seed);
         let spec = if causal_spec { catalog::causal() } else { catalog::fifo() };
